@@ -228,6 +228,11 @@ class WeierstrassData:
     def omega_fn(self):
         return ex.compile_ast(self.omega)
 
+    @cached_property
+    def derivative_fns(self):
+        """Compiled dG/dw and domega/dw."""
+        return ex.compile_ast(ex.diff(self.G)), ex.compile_ast(ex.diff(self.omega))
+
     @classmethod
     def from_strings(cls, g: str, omega: str, chart: str = "u") -> "WeierstrassData":
         return cls(ex.parse(g), ex.parse(omega), chart)

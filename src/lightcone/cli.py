@@ -152,18 +152,21 @@ def grid_from_job(job: dict, fallback=None) -> GridSpec:
                     (float(v_range[0]), float(v_range[1])), n_u, n_v)
 
 
+def _tolerance(value, name) -> float:
+    # NaN would make every `residual > tol` comparison false and pass any data
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and math.isfinite(value) and value > 0,
+             f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def tolerances_from_job(job: dict, tol_override=None):
     blk = job.get("tolerances", {})
     _require(isinstance(blk, dict), "tolerances block must be an object")
-    conf = blk.get("conformality")
-    orient = blk.get("orientability")
+    kw = {key: _tolerance(blk[key], f"tolerances.{key}")
+          for key in ("conformality", "orientability") if blk.get(key) is not None}
     if tol_override is not None:
-        conf = tol_override
-    kw = {}
-    if conf is not None:
-        kw["conformality"] = float(conf)
-    if orient is not None:
-        kw["orientability"] = float(orient)
+        kw["conformality"] = _tolerance(tol_override, "--tol")
     return kw
 
 
@@ -364,8 +367,7 @@ def run_catenoid(job: dict, out_flag=None) -> int:
     grid_spec = grid_from_job(job, fallback=DEFAULT_GRIDS[spec.family])
     wd = classification_weierstrass(spec)
     grid = _closed_form_grid(lambda u, v: catenoid_closed_form(spec, u, v), grid_spec, wd)
-    grid_diagnostics(grid, x_at_factory=_closed_form_factory(
-        lambda u, v: catenoid_closed_form(spec, u, v)))
+    grid_diagnostics(grid)
     mesh = write_obj(out / "surface.obj", grid.X, grid.valid)
     write_csv(out / "diagnostics.csv", grid)
     save_grid(out / "grid.npz", grid, "catenoid",
@@ -377,12 +379,6 @@ def run_catenoid(job: dict, out_flag=None) -> int:
     print(f"catenoid ({spec.family}, param {spec.param:g}): wrote {mesh['vertices']} "
           f"vertices, {mesh['faces']} faces to {out}")
     return EXIT_OK
-
-
-def _closed_form_factory(surface):
-    def factory(iu, iv):
-        return lambda w: surface(w.real, w.imag)
-    return factory
 
 
 def _closed_form_grid(surface, grid_spec: GridSpec, wd) -> SurfaceGrid:
@@ -402,20 +398,11 @@ def run_diagnose(input_path: str, out_flag=None) -> int:
     grid, kind, meta = load_grid(Path(input_path))
     out = Path(out_flag) if out_flag else Path(input_path).parent
     out.mkdir(parents=True, exist_ok=True)
-    if kind == "catenoid":
-        spec = CatenoidSpec(meta["family"], meta["param"])
-        grid_diagnostics(grid, x_at_factory=_closed_form_factory(
-            lambda u, v: catenoid_closed_form(spec, u, v)))
-    elif kind == "extend-base":
+    if kind == "extend-extension":
         c = meta["param"]
-        grid_diagnostics(grid, x_at_factory=_closed_form_factory(
-            lambda u, v: nonrotational_closed_form(c, u, v)))
-    elif kind == "extend-extension":
-        c = meta["param"]
-        fresh = chartfree_grid_diagnostics(lambda ut, v: nonrotational_extension(c, ut, v),
-                                           grid.u, grid.v)
-        grid = fresh
-    elif kind == "bjorling":
+        grid = chartfree_grid_diagnostics(lambda ut, v: nonrotational_extension(c, ut, v),
+                                          grid.u, grid.v)
+    elif kind in ("catenoid", "extend-base", "bjorling"):
         if grid.wd is None:
             raise SchemaError("stored grid carries no Weierstrass data")
         grid_diagnostics(grid)
@@ -445,8 +432,7 @@ def run_extend(job: dict, out_flag=None) -> int:
     wd = nonrotational_weierstrass_wchart(c)
     base = _closed_form_grid(lambda u, v: nonrotational_closed_form(c, u, v),
                              base_grid_spec, wd)
-    grid_diagnostics(base, x_at_factory=_closed_form_factory(
-        lambda u, v: nonrotational_closed_form(c, u, v)))
+    grid_diagnostics(base)
     mesh_base = write_obj(out / "base_chart.obj", base.X, base.valid)
     write_csv(out / "base_chart.csv", base)
     save_grid(out / "base_chart_grid.npz", base, "extend-base", {"param": c})
@@ -481,18 +467,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="mode", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, needs_out=True, tol=False):
         p.add_argument("--input", help="job JSON document")
         if needs_out:
             p.add_argument("--out", help="output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the conformality tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the conformality tolerance")
 
     p = subs.add_parser("check", help="validate Bjorling data")
-    common(p, needs_out=False)
+    common(p, needs_out=False, tol=True)
 
     p = subs.add_parser("solve", help="run the full boundary-data pipeline")
-    common(p)
+    common(p, tol=True)
+    p.add_argument("--grid", help="u0,u1,v0,v1,nu,nv")
     p.add_argument("--gauge-test", action="store_true",
                    help="re-solve with a twisted initial frame and report the deviation")
     p.add_argument("--renormalize-det", action="store_true",
@@ -549,7 +537,7 @@ def main(argv=None) -> int:
             return run_check(load_job(args.input, mode="check"), tol_override=args.tol)
         if args.mode == "solve":
             _require(args.input, "solve mode needs --input")
-            return run_solve(load_job(args.input, mode="solve"), out_flag=args.out,
+            return run_solve(_job_for(args), out_flag=args.out,
                              gauge_test=args.gauge_test,
                              renormalize_det=args.renormalize_det,
                              tol_override=args.tol)

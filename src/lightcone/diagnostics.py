@@ -1,130 +1,145 @@
 """Numerical verification of surface-theoretic quantities.
 
-First-order data is exact: on a conformal chart the surface satisfies
-X_z = M(w) X with the same coefficient matrix that drives the frame, so Xu
-and Xv come from one matrix product instead of finite differences.  Only the
-derivatives of the Gauss map (second-order data) are differenced, with one
-Richardson extrapolation level; this keeps noise out of the H ~ 0 checks.
+On a conformal chart the surface X = F f3 F* satisfies X_z = M X with the
+coefficient matrix M = omega (G, 1)^T (1, -G) that drives the frame.  M is
+nilpotent (M^2 = 0), so X_zz = M' X and X_zzbar = M X M* are exact too, with
+M' from the symbolic derivatives of G and omega.  Xu, Xv, Xuu, Xuv and Xvv
+come from the stored X by batched 2x2 products, and a whole grid is
+diagnosed in one array pass: nothing is re-integrated or differenced.
 
-A chart-free finite-difference oracle (mean_curvature_fd) covers surfaces
-given as plain (u, v) -> Herm2 callables in arbitrary, possibly
-non-conformal, parametrizations; it is the independent cross-check for the
-exact route and the only route for the extension chart of the non-rotational
-example, whose parameter lines are not conformal.
+The derivatives are Hermitian, so the second fundamental form is real by
+construction (second_form_imag is 0 on every diagnosed node).  H =
+2 <M X M*, n> / phi^2 vanishes algebraically for any light-cone point X,
+given M, so this H cannot show that an integrated grid has zero mean
+curvature.  That evidence is the chart-free finite-difference oracle
+(mean_curvature_fd): it takes a plain (u, v) -> Herm2 callable in any,
+possibly non-conformal, parametrization (local_surface_sampler makes one
+from a grid node by short frame integrations).  It is also the only route
+for the extension chart of the non-rotational example, whose parameter
+lines are not conformal.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bjorling import WeierstrassData
 from .errors import DegenerateInputError, DegenerateMetricError, IntegrationError
-from .frame import SurfaceGrid, _resolve_threads, coefficient_matrix, integrate_frame
-from .lorentz import F3, Vec4, herm_to_vec, hermitize, minkowski_inner, vec_to_herm
+from .frame import SurfaceGrid, integrate_frame
+from .lorentz import F3, adjoint, hermitize, minkowski_inner
 
 __all__ = [
-    "PointDiagnostics", "tangent_vectors", "gauss_map", "gauss_residuals",
-    "second_fundamental", "curvatures", "point_diagnostics", "local_surface_sampler",
-    "grid_diagnostics", "chartfree_grid_diagnostics", "mean_curvature_fd",
+    "PointDiagnostics", "surface_derivatives", "tangent_vectors", "gauss_map",
+    "gauss_residuals", "second_fundamental", "curvatures", "point_diagnostics",
+    "local_surface_sampler", "grid_diagnostics", "chartfree_grid_diagnostics",
+    "mean_curvature_fd",
 ]
 
-DEFAULT_H_REL = 1e-4       # Gauss-map difference step, relative to grid spacing
 PHI2_FLOOR = 1e-12
+_RANK_RCOND = 4 * np.finfo(float).eps     # lstsq's default for a 3x4 system
+_LOWER = np.array([-1.0, 1.0, 1.0, 1.0])  # (t, x, y, z) <-> (-t, x, y, z)
+# (Re, Im) of the entries m11, m12, m21, m22 of a Hermitian matrix -> (-t, x, y, z)
+_ENTRIES_TO_LOWERED = np.array([[-0.5, 0, 0, 0.5], [0] * 4, [0, 1, 0, 0], [0, 0, 1, 0],
+                                [0] * 4, [0] * 4, [-0.5, 0, 0, -0.5], [0] * 4])
+# (t, x, y, z) -> the entries [[t+z, x+iy], [x-iy, t-z]]
+_VEC_TO_ENTRIES = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+
+
+def surface_derivatives(wd: WeierstrassData, x: np.ndarray, w):
+    """Exact (Xu, Xv, Xuu, Xuv, Xvv) from X_z = M X, X_zz = M' X, X_zzbar = M X M*.
+
+    x is (..., 2, 2) and w has shape (...); every output is Hermitian by
+    construction.  At one point (x of shape (2, 2)) M or M' failing to
+    evaluate to finite values raises IntegrationError; stacked inputs return
+    the mask of nodes where they did as a sixth output, NaN elsewhere.
+    """
+    gfn, ofn = wd.G_fn, wd.omega_fn
+    dgfn, dofn = wd.derivative_fns
+    rows = []
+    for wk in np.ravel(w).astype(complex).tolist():
+        try:
+            g, om, dg, dom = gfn(wk), ofn(wk), dgfn(wk), dofn(wk)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            rows.append((np.nan,) * 8)
+            continue
+        m11, d11 = g * om, dg * om + g * dom   # M as the frame builds it, and M'
+        rows.append((m11, -(g * m11), om, -m11, d11, -(dg * m11 + g * d11), dom, -d11))
+    coef = np.array(rows, dtype=complex).reshape(np.shape(w) + (2, 2, 2))
+    ok = np.isfinite(coef).all(axis=(-3, -2, -1))
+    m, dm = coef[..., 0, :, :], coef[..., 1, :, :]
+    a, b = m @ x, dm @ x          # X_z, X_zz
+    c = a @ adjoint(m)            # X_zzbar
+    a_adj, b_adj = adjoint(a), adjoint(b)
+    b_sum, c_sum = b + b_adj, c + adjoint(c)
+    derivs = (a + a_adj, 1j * (a - a_adj), c_sum + b_sum, 1j * (b - b_adj), c_sum - b_sum)
+    if np.ndim(x) == 2:
+        if not ok:
+            raise IntegrationError("coefficient matrix or its derivative is not finite", w)
+        return derivs
+    return derivs + (ok,)
 
 
 def tangent_vectors(wd: WeierstrassData, x: np.ndarray, w: complex):
-    """Exact (Xu, Xv) at a surface point from X_z = M(w) X.
-
-    Both outputs are Hermitian by construction (A + A* and i(A - A*)).
-    """
-    m = coefficient_matrix(wd, w)
-    mx = m @ x
-    mxs = mx.conj().T
-    return mx + mxs, 1j * (mx - mxs)
+    """Exact (Xu, Xv) at a surface point from X_z = M(w) X."""
+    return surface_derivatives(wd, x, w)[:2]
 
 
-def gauss_map(x: np.ndarray, xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
+def gauss_map(x: np.ndarray, xu: np.ndarray, xv: np.ndarray):
     """The unique lightlike n with <n,Xu> = <n,Xv> = <n,n> = 0, <n,X> = 1.
 
-    Solves the three linear conditions for a particular Y (the solution set
-    is Y + span{X} since X is orthogonal to everything involved), then kills
-    <Y,Y> with n = Y - (<Y,Y>/2) X; the result is independent of the choice
-    of Y.
+    One point ((2, 2) inputs) or stacks ((..., 2, 2) inputs).  One stacked
+    SVD gives the minimum-norm solution Y of the three linear conditions; the
+    solution set is Y + span{X}, since X is orthogonal to everything involved,
+    and n = Y - (<Y,Y>/2) X does not depend on the choice of Y.  A system of
+    rank < 3 under lstsq's default threshold is a degenerate tangent plane:
+    at one point that raises DegenerateInputError; stacks return (n, mask),
+    with NaN where the mask is False.
     """
-    rows = []
-    rhs = [0.0, 0.0, 1.0]
-    for m in (xu, xv, x):
-        t, a, b, c = herm_to_vec(hermitize(m))
-        rows.append([-t, a, b, c])
-    system = np.array(rows)
-    y, _, rank, _ = np.linalg.lstsq(system, np.array(rhs), rcond=None)
-    if rank < 3:
-        raise DegenerateInputError("tangent plane is degenerate; Gauss map undefined")
-    yy = -y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
-    xvec = np.array(herm_to_vec(hermitize(x)))
-    n = y - 0.5 * yy * xvec
-    return vec_to_herm(Vec4(*n))
+    mats = np.stack([xu, xv, x], axis=-3).astype(complex, copy=False)
+    system = mats.view(float).reshape(mats.shape[:-2] + (8,)) @ _ENTRIES_TO_LOWERED
+    finite = np.isfinite(system).all(axis=(-2, -1))
+    u_mat, s, vh = np.linalg.svd(np.where(finite[..., None, None], system, 0.0),
+                                 full_matrices=False)
+    ok = finite & (s[..., 2] > _RANK_RCOND * s[..., 0])
+    y = (u_mat[..., 2:, :] / np.where(ok[..., None, None], s[..., None, :], 1.0)) @ vh
+    n_vec = y - (0.5 * ((y * y) @ _LOWER)[..., None]) * (system[..., 2:, :] * _LOWER)
+    n = (n_vec @ _VEC_TO_ENTRIES).reshape(n_vec.shape[:-2] + (2, 2))
+    n = np.where(ok[..., None, None], n, np.nan)
+    if np.ndim(x) == 2:
+        if not ok:
+            raise DegenerateInputError("tangent plane is degenerate; Gauss map undefined")
+        return n
+    return n, ok
 
 
 def gauss_residuals(x, xu, xv, n) -> np.ndarray:
-    """[|<n,n>|, |<n,Xu>|, |<n,Xv>|, |<n,X> - 1|]."""
-    return np.array([abs(minkowski_inner(n, n)),
-                     abs(minkowski_inner(n, xu)),
-                     abs(minkowski_inner(n, xv)),
-                     abs(minkowski_inner(n, x) - 1.0)])
+    """[|<n,n>|, |<n,Xu>|, |<n,Xv>|, |<n,X> - 1|] along the last axis."""
+    return np.abs(np.stack([minkowski_inner(n, n), minkowski_inner(n, xu),
+                            minkowski_inner(n, xv), minkowski_inner(n, x) - 1.0], axis=-1))
 
 
-def local_surface_sampler(wd: WeierstrassData, f0: np.ndarray, w0: complex,
-                          eps_loc: float = 1e-10, h_max: float = 1.0 / 64):
-    """w -> X(w) in a neighborhood of w0, by short frame integrations from f0."""
-    def x_at(w: complex) -> np.ndarray:
-        f = integrate_frame(wd, f0, [w0, w], eps_loc=eps_loc, h_max=h_max)
-        return hermitize(f @ F3 @ f.conj().T)
-    return x_at
+def second_fundamental(xuu, xuv, xvv, n):
+    """(Lff, Mff, Nff) = <(Xuu, Xuv, Xvv), n>, which equal -<Xu, n_u>,
+    -<Xu, n_v>, -<Xv, n_v> because <Xu, n> = <Xv, n> = 0 identically."""
+    return tuple(minkowski_inner(d, n).real for d in (xuu, xuv, xvv))
 
 
-def _gauss_at(wd, x_at, w):
-    x = x_at(w)
-    xu, xv = tangent_vectors(wd, x, w)
-    return gauss_map(x, xu, xv)
-
-
-def second_fundamental(wd: WeierstrassData, x_at, w: complex, h: float):
-    """(Lff, Mff, Nff, imag_max, symmetry_gap) at w.
-
-    Gauss-map derivatives by central differences at spacing h with one
-    Richardson level; Xu, Xv stay exact.  imag_max reports how far the
-    coefficients are from real, symmetry_gap compares the two mixed
-    coefficients -<Xu, n_v> and -<Xv, n_u>.
-    """
-    x = x_at(w)
-    xu, xv = tangent_vectors(wd, x, w)
-
-    def forms(step):
-        nu = (_gauss_at(wd, x_at, w + step) - _gauss_at(wd, x_at, w - step)) / (2 * step)
-        nv = (_gauss_at(wd, x_at, w + 1j * step) - _gauss_at(wd, x_at, w - 1j * step)) / (2 * step)
-        lff = -minkowski_inner(xu, nu)
-        m_uv = -minkowski_inner(xu, nv)
-        m_vu = -minkowski_inner(xv, nu)
-        nff = -minkowski_inner(xv, nv)
-        return np.array([lff, 0.5 * (m_uv + m_vu), nff, m_uv - m_vu])
-
-    coarse = forms(h)
-    fine = forms(0.5 * h)
-    lff, mff, nff, sym = (4.0 * fine - coarse) / 3.0
-    imag_max = float(max(abs(lff.imag), abs(mff.imag), abs(nff.imag)))
-    return lff.real, mff.real, nff.real, imag_max, abs(sym)
-
-
-def curvatures(phi2: float, lff: float, mff: float, nff: float,
-               tol: float = PHI2_FLOOR):
-    """H = (L+N)/(2 phi^2), K = (LN - M^2)/phi^4 in a conformal chart."""
-    if not phi2 > tol:
-        raise DegenerateMetricError(f"conformal factor too small: phi^2 = {phi2:.3e}")
+def curvatures(phi2, lff, mff, nff, tol: float = PHI2_FLOOR):
+    """H = (L+N)/(2 phi^2), K = (LN - M^2)/phi^4 in a conformal chart, for
+    scalars or arrays; raises DegenerateMetricError if any phi^2 <= tol."""
+    if not np.all(phi2 > tol):
+        raise DegenerateMetricError(f"conformal factor too small: phi^2 = {np.min(phi2):.3e}")
     return (lff + nff) / (2.0 * phi2), (lff * nff - mff * mff) / (phi2 * phi2)
+
+
+def _first_fundamental(xu, xv):
+    """(phi^2, conformality defect) from <Xu,Xu>, <Xv,Xv>, <Xu,Xv>."""
+    e_uu = minkowski_inner(xu, xu).real
+    e_vv = minkowski_inner(xv, xv).real
+    e_uv = minkowski_inner(xu, xv).real
+    return 0.5 * (e_uu + e_vv), np.maximum(np.abs(e_uu - e_vv), 2.0 * np.abs(e_uv))
 
 
 @dataclass
@@ -140,77 +155,55 @@ class PointDiagnostics:
     residuals: dict[str, float] = field(default_factory=dict)
 
 
-def point_diagnostics(wd: WeierstrassData, x_at, w: complex, h: float) -> PointDiagnostics:
-    x = x_at(w)
-    xu, xv = tangent_vectors(wd, x, w)
-    e_uu = minkowski_inner(xu, xu).real
-    e_vv = minkowski_inner(xv, xv).real
-    e_uv = minkowski_inner(xu, xv).real
-    phi2 = 0.5 * (e_uu + e_vv)
-    defect = max(abs(e_uu - e_vv), 2.0 * abs(e_uv))
+def point_diagnostics(wd: WeierstrassData, x: np.ndarray, w: complex) -> PointDiagnostics:
+    """Diagnostics at the surface point x = X(w); raises where grid_diagnostics
+    would leave the node NaN."""
+    xu, xv, xuu, xuv, xvv = surface_derivatives(wd, x, w)
+    phi2, defect = _first_fundamental(xu, xv)
     n = gauss_map(x, xu, xv)
-    gres = gauss_residuals(x, xu, xv, n)
-    lff, mff, nff, imag_max, sym = second_fundamental(wd, x_at, w, h)
+    lff, mff, nff = second_fundamental(xuu, xuv, xvv, n)
     h_mean, k_gauss = curvatures(phi2, lff, mff, nff)
-    residuals = {
-        "gauss": float(np.max(gres)),
-        "lightlike": float(abs(minkowski_inner(x, x))),
-        "second_form_imag": imag_max,
-        "mixed_symmetry": float(sym),
-    }
-    return PointDiagnostics(phi2, defect, n, lff, mff, nff, h_mean, k_gauss, residuals)
+    residuals = {"gauss": float(np.max(gauss_residuals(x, xu, xv, n))),
+                 "lightlike": float(abs(minkowski_inner(x, x)))}
+    return PointDiagnostics(float(phi2), float(defect), n, float(lff), float(mff),
+                            float(nff), float(h_mean), float(k_gauss), residuals)
 
 
-def grid_diagnostics(grid: SurfaceGrid, wd: WeierstrassData | None = None,
-                     x_at_factory=None, h: float | None = None,
-                     threads: int | None = None) -> SurfaceGrid:
-    """Fill the per-node diagnostics slots of a grid, in place.
+def local_surface_sampler(wd: WeierstrassData, f0: np.ndarray, w0: complex,
+                          eps_loc: float = 1e-10, h_max: float = 1.0 / 64):
+    """w -> X(w) in a neighborhood of w0, by short frame integrations from f0."""
+    def x_at(w: complex) -> np.ndarray:
+        f = integrate_frame(wd, f0, [w0, w], eps_loc=eps_loc, h_max=h_max)
+        return hermitize(f @ F3 @ f.conj().T)
+    return x_at
 
-    By default each node is sampled by short frame integrations from its own
-    stored frame; closed-form grids pass x_at_factory(iu, iv) -> callable
-    instead (their F slots are empty).  Nodes where the metric degenerates
-    keep NaN curvatures but stay valid.
+
+def grid_diagnostics(grid: SurfaceGrid, wd: WeierstrassData | None = None) -> SurfaceGrid:
+    """Fill the per-node diagnostics slots of a grid, in place, in one array pass.
+
+    Needs only the stored X and the Weierstrass data (grid.wd by default).  A
+    valid node where M or M' is not finite, the tangent plane is degenerate
+    or phi^2 <= PHI2_FLOOR stays valid with every diagnostics slot NaN.
     """
     if wd is None:
         wd = grid.wd
     if wd is None:
         raise ValueError("grid carries no Weierstrass data; pass wd explicitly")
-    if h is None:
-        du = abs(grid.u[1] - grid.u[0]) if grid.n_u > 1 else 1.0
-        dv = abs(grid.v[1] - grid.v[0]) if grid.n_v > 1 else 1.0
-        h = DEFAULT_H_REL * min(du, dv)
-
-    def run_node(idx):
-        iv, iu = idx
-        w = complex(grid.u[iu], grid.v[iv])
-        if x_at_factory is not None:
-            x_at = x_at_factory(iu, iv)
-        else:
-            x_at = local_surface_sampler(wd, grid.F[iv, iu], w)
-        try:
-            return point_diagnostics(wd, x_at, w, h)
-        except (IntegrationError, DegenerateInputError, DegenerateMetricError):
-            return None
-
-    indices = [(iv, iu) for iv in range(grid.n_v) for iu in range(grid.n_u)
-               if grid.valid[iv, iu]]
-    n_threads = _resolve_threads(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run_node, indices))
-    else:
-        results = [run_node(idx) for idx in indices]
-
-    for (iv, iu), pd in zip(indices, results):
-        if pd is None:
-            continue
-        grid.phi2[iv, iu] = pd.phi2
-        grid.H[iv, iu] = pd.H
-        grid.K[iv, iu] = pd.K
-        grid.conformality_defect[iv, iu] = pd.conformality_defect
-        grid.gauss_residual[iv, iu] = pd.residuals["gauss"]
-        grid.lightlike_residual[iv, iu] = pd.residuals["lightlike"]
-        grid.second_form_imag[iv, iu] = pd.residuals["second_form_imag"]
+    sel = grid.valid
+    x = grid.X[sel]
+    w = (grid.u[None, :] + 1j * grid.v[:, None])[sel]
+    xu, xv, xuu, xuv, xvv, ok = surface_derivatives(wd, x, w)
+    phi2, defect = _first_fundamental(xu, xv)
+    n, plane_ok = gauss_map(x, xu, xv)
+    ok &= plane_ok & (phi2 > PHI2_FLOOR)
+    h_mean, k_gauss = curvatures(np.where(ok, phi2, 1.0),
+                                 *second_fundamental(xuu, xuv, xvv, n))
+    slots = {"phi2": phi2, "H": h_mean, "K": k_gauss, "conformality_defect": defect,
+             "gauss_residual": np.max(gauss_residuals(x, xu, xv, n), axis=-1),
+             "lightlike_residual": np.abs(minkowski_inner(x, x)),
+             "second_form_imag": np.zeros(ok.shape)}
+    for name, values in slots.items():
+        getattr(grid, name)[sel] = np.where(ok, values, np.nan)
     return grid
 
 

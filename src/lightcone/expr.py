@@ -299,11 +299,16 @@ def call(name, arg):
 
 _ATOM_EXPECTED = frozenset({"number", "i", "u", "function", "("})
 
+# nesting of parentheses, calls, unary minus and exponents; bounds the parser's
+# recursion and keeps derivatives of extracted data within Python's compiler
+MAX_NESTING = 32
+
 
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self._advance()
 
     def _advance(self):
@@ -381,10 +386,16 @@ def _parse_multiplicative(tz):
 
 
 def _parse_unary(tz):
+    tz.depth += 1
+    if tz.depth > MAX_NESTING:
+        raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", tz.tok_start)
     if tz.tok[0] == "-":
         tz._advance()
-        return neg(_parse_unary(tz))
-    return _parse_power(tz)
+        node = neg(_parse_unary(tz))
+    else:
+        node = _parse_power(tz)
+    tz.depth -= 1
+    return node
 
 
 def _parse_power(tz):

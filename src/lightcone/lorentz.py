@@ -93,7 +93,7 @@ def det2(m: np.ndarray) -> complex:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def minkowski_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -103,10 +103,11 @@ def minkowski_inner(a: np.ndarray, b: np.ndarray) -> complex:
         <V,W> = -(1/2) (det(V+W) - det V - det W)
               = -(1/2) (v11 w22 + v22 w11 - v12 w21 - v21 w12).
     Real (up to roundoff) on Hermitian pairs, where it equals the Minkowski
-    product of the corresponding vectors.
+    product of the corresponding vectors.  Stacked (..., 2, 2) inputs give
+    the form node by node.
     """
-    return -0.5 * (a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0]
-                   - a[0, 1] * b[1, 0] - a[1, 0] * b[0, 1])
+    return -0.5 * (a[..., 0, 0] * b[..., 1, 1] + a[..., 1, 1] * b[..., 0, 0]
+                   - a[..., 0, 1] * b[..., 1, 0] - a[..., 1, 0] * b[..., 0, 1])
 
 
 def norm_sq(a: np.ndarray) -> complex:

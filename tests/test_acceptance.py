@@ -86,30 +86,37 @@ def test_criterion_2_end_to_end_pipeline(pipeline):
 
 
 def test_criterion_3_zero_mean_curvature(pipeline):
+    # Grid H is zero algebraically for any light-cone X once M is given, so it
+    # cannot show that the integrated grids have zero mean curvature; that
+    # evidence comes from the chart-free oracle on surfaces sampled by short
+    # frame integrations from the stored frames.
     solved, (_, nr_grid) = pipeline
     worst = 0.0
-    # integrated surfaces (interior nodes)
-    for _, _, sg in solved.values():
-        worst = max(worst, float(np.nanmax(np.abs(sg.H[1:-1, 1:-1]))))
-    worst = max(worst, float(np.nanmax(np.abs(nr_grid.H[1:-1, 1:-1]))))
+    # integrated surfaces (every 4th interior node)
+    for sg in [sg for _, _, sg in solved.values()] + [nr_grid]:
+        for iv in range(1, sg.n_v - 1, 4):
+            for iu in range(1, sg.n_u - 1, 4):
+                w = complex(sg.u[iu], sg.v[iv])
+                x_at = dg.local_surface_sampler(sg.wd, sg.F[iv, iu], w)
+                h_mean, _ = dg.mean_curvature_fd(lambda u, v: x_at(complex(u, v)),
+                                                 w.real, w.imag, h=1e-3)
+                worst = max(worst, abs(h_mean))
     # closed-form catenoids
     for family, p in (("elliptic", 1.5), ("elliptic", 4.0),
                       ("hyperbolic", 1.5), ("parabolic", 0.5)):
         spec = ct.CatenoidSpec(family, p)
-        wd = ct.classification_weierstrass(spec)
-        x_at = lambda w: ct.catenoid_closed_form(spec, w.real, w.imag)
+        surface = lambda u, v: ct.catenoid_closed_form(spec, u, v)
         (u0, u1) = ct.DEFAULT_INTERVALS[family]
         for u in np.linspace(u0, u1, 13)[1:-1]:
             for v in np.linspace(-1.0, 1.0, 9)[1:-1]:
-                pd = dg.point_diagnostics(wd, x_at, complex(u, v), h=1.5e-5)
-                worst = max(worst, abs(pd.H))
+                h_mean, _ = dg.mean_curvature_fd(surface, float(u), float(v), h=1e-3)
+                worst = max(worst, abs(h_mean))
     # the non-rotational closed form in its own chart
-    wd = ct.nonrotational_weierstrass_wchart(0.5)
-    x_at = lambda w: ct.nonrotational_closed_form(0.5, w.real, w.imag)
+    surface = lambda u, v: ct.nonrotational_closed_form(0.5, u, v)
     for u in np.linspace(-1.2, 1.2, 9):
         for v in np.linspace(-1.0, 1.0, 7):
-            pd = dg.point_diagnostics(wd, x_at, complex(u, v), h=2e-5)
-            worst = max(worst, abs(pd.H))
+            h_mean, _ = dg.mean_curvature_fd(surface, float(u), float(v), h=1e-3)
+            worst = max(worst, abs(h_mean))
     # its extension, away from the degenerate circle, both signs of ut
     ext = lambda ut, v: ct.nonrotational_extension(0.5, ut, v)
     for ut in np.concatenate([np.linspace(-1.5, -0.25, 6), np.linspace(0.25, 1.5, 6)]):

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from lightcone import catenoids as ct
 from lightcone import cli
@@ -202,3 +203,73 @@ def test_job_mode_field_is_checked(tmp_path):
     job["mode"] = "check"
     path = _write_job(tmp_path / "job2.json", job)
     assert cli.main(["check", "--input", path]) == cli.EXIT_OK
+
+
+HYPERBOLIC_BJORLING = {
+    "bjorling": {
+        "gamma": {"m11": "exp(2*u)", "m12": "1", "m21": "1", "m22": "exp(-2*u)"},
+        "tangent": {"m11": "1.5*exp(2*u)", "m12": "1.5 + 2*i", "m21": "1.5 - 2*i",
+                    "m22": "1.5*exp(-2*u)"},
+        "interval": [-1.0, 1.0],
+    },
+    "grid": {"u_range": [-1.0, 1.0], "v_range": [-1.0, 1.0], "n_u": 11, "n_v": 7},
+}
+
+
+@pytest.mark.parametrize("mode, job, produced", [
+    ("catenoid", {"catenoid": {"family": "parabolic", "param": 0.5}},
+     ("grid.npz", "diagnostics.csv")),
+    ("extend", {"extend": {"param": 0.5}}, ("base_chart_grid.npz", "base_chart.csv")),
+    ("extend", {"extend": {"param": 0.5}},
+     ("extension_chart_grid.npz", "extension_chart.csv")),
+    ("solve", HYPERBOLIC_BJORLING, ("grid.npz", "diagnostics.csv")),
+])
+def test_diagnose_rewrites_the_producing_csv_byte_for_byte(tmp_path, mode, job, produced):
+    # diagnose reloads G and omega from their strings; the reparsed data and
+    # its derivatives must evaluate exactly as the producing mode's did
+    out = tmp_path / "made"
+    rc = cli.main([mode, "--input", _write_job(tmp_path / "job.json", job), "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    redo = tmp_path / "redo"
+    rc = cli.main(["diagnose", "--input", str(out / produced[0]), "--out", str(redo)])
+    assert rc == cli.EXIT_OK
+    assert (out / produced[1]).read_bytes() == (redo / "diagnostics.csv").read_bytes()
+
+
+def test_check_with_nan_tolerance_exits_4(tmp_path, capsys):
+    # NaN would make every residual comparison false and pass rejected data
+    path = _write_job(tmp_path / "job.json", REJECTED_PARABOLIC)
+    assert cli.main(["check", "--input", path, "--tol", "nan"]) == cli.EXIT_IO
+    assert "--tol must be a finite positive number" in capsys.readouterr().err
+
+
+def test_non_numeric_tolerance_exits_4(tmp_path, capsys):
+    job = dict(REJECTED_PARABOLIC, tolerances={"conformality": "abc"})
+    assert cli.main(["check", "--input", _write_job(tmp_path / "job.json", job)]) \
+        == cli.EXIT_IO
+    assert "tolerances.conformality" in capsys.readouterr().err
+
+
+def test_deeply_nested_expression_exits_4(tmp_path, capsys):
+    job = json.loads(json.dumps(REJECTED_PARABOLIC))
+    job["bjorling"]["gamma"]["m11"] = "(" * 3000 + "u^2" + ")" * 3000
+    assert cli.main(["check", "--input", _write_job(tmp_path / "job.json", job)]) \
+        == cli.EXIT_IO
+    assert "nests deeper than" in capsys.readouterr().err
+
+
+def test_solve_takes_the_grid_flag(tmp_path):
+    job = {"catenoid": {"family": "parabolic", "param": 0.5}}
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(out), "--grid", "0.5,2,-0.5,0.5,5,3"])
+    assert rc == cli.EXIT_OK
+    vertices, _ = _read_obj(out / "surface.obj")
+    assert len(vertices) == 15
+
+
+@pytest.mark.parametrize("mode", ["catenoid", "extend"])
+def test_closed_form_modes_have_no_tol_flag(tmp_path, mode):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([mode, "--out", str(tmp_path), "--tol", "1e-3"])
+    assert exc.value.code == 2  # argparse usage error

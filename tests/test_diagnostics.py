@@ -7,7 +7,7 @@ from lightcone import catenoids as ct
 from lightcone import diagnostics as dg
 from lightcone import frame as fr
 from lightcone import lorentz as lz
-from lightcone.errors import DegenerateMetricError
+from lightcone.errors import DegenerateMetricError, IntegrationError
 
 A = 1.5
 SPEC = ct.CatenoidSpec("elliptic", A)
@@ -91,17 +91,67 @@ def test_gauss_map_hand_example():
 
 
 def test_second_fundamental_symmetry(elliptic_wd):
+    # the exact mixed coefficient <Xuv, n> against both differenced ones,
+    # -<Xu, n_v> and -<Xv, n_u>, with n_u, n_v from the closed form
+    h = 1.5e-5
+
+    def n_at(w):
+        x = elliptic_surface(w)
+        return dg.gauss_map(x, *dg.tangent_vectors(elliptic_wd, x, w))
+
     for w in (0.5 + 0.2j, 2.4 - 0.5j):
-        _, _, _, imag_max, sym = dg.second_fundamental(
-            elliptic_wd, elliptic_surface, w, h=1.5e-5)
+        x = elliptic_surface(w)
+        xu, xv, xuu, xuv, xvv = dg.surface_derivatives(elliptic_wd, x, w)
+        n = dg.gauss_map(x, xu, xv)
+        lff, mff, nff = (lz.minkowski_inner(d, n) for d in (xuu, xuv, xvv))
+        n_u = (n_at(w + h) - n_at(w - h)) / (2 * h)
+        n_v = (n_at(w + 1j * h) - n_at(w - 1j * h)) / (2 * h)
+        sym = max(abs(mff + lz.minkowski_inner(xu, n_v)),
+                  abs(mff + lz.minkowski_inner(xv, n_u)))
         assert sym <= 1e-6
-        assert imag_max <= 1e-8
+        assert max(abs(lff.imag), abs(mff.imag), abs(nff.imag)) <= 1e-8
 
 
 def test_zero_mean_curvature_makes_the_form_tracefree(elliptic_wd):
     for w in (0.0j, 1.0 + 0.6j, 4.2 - 0.9j):
-        lff, _, nff, _, _ = dg.second_fundamental(elliptic_wd, elliptic_surface, w, h=1.5e-5)
+        x = elliptic_surface(w)
+        xu, xv, xuu, xuv, xvv = dg.surface_derivatives(elliptic_wd, x, w)
+        lff, _, nff = dg.second_fundamental(xuu, xuv, xvv, dg.gauss_map(x, xu, xv))
         assert abs(lff + nff) <= 1e-5
+
+
+def _second_differences(surface, u, v, h):
+    """(X_uu, X_uv, X_vv) by central differences with one Richardson level."""
+    def once(s):
+        x0 = surface(u, v)
+        xuu = (surface(u + s, v) - 2 * x0 + surface(u - s, v)) / (s * s)
+        xvv = (surface(u, v + s) - 2 * x0 + surface(u, v - s)) / (s * s)
+        xuv = (surface(u + s, v + s) - surface(u + s, v - s)
+               - surface(u - s, v + s) + surface(u - s, v - s)) / (4 * s * s)
+        return np.array([xuu, xuv, xvv])
+    return (4 * once(h) - once(2 * h)) / 3
+
+
+@pytest.mark.parametrize("family, p", [
+    ("elliptic", 1.5), ("hyperbolic", 1.5), ("parabolic", 0.5), ("nonrotational", 0.5)])
+def test_exact_second_derivatives_match_central_differences(family, p):
+    if family == "nonrotational":
+        wd = ct.nonrotational_weierstrass_wchart(p)
+        surface = lambda u, v: ct.nonrotational_closed_form(p, u, v)
+        u_range = (-1.0, 1.0)
+    else:
+        spec = ct.CatenoidSpec(family, p)
+        wd = ct.classification_weierstrass(spec)
+        surface = lambda u, v: ct.catenoid_closed_form(spec, u, v)
+        u_range = ct.DEFAULT_INTERVALS[family]
+    worst = 0.0
+    for u in np.linspace(*u_range, 5):
+        for v in (-0.8, 0.0, 0.8):
+            x = surface(u, v)
+            exact = np.array(dg.surface_derivatives(wd, x, complex(u, v))[2:])
+            fd = _second_differences(surface, u, v, 1e-3)
+            worst = max(worst, float(np.max(np.abs(exact - fd))))
+    assert worst <= 1e-6
 
 
 def test_curvature_formulas():
@@ -119,7 +169,7 @@ def test_golden_gaussian_curvature_at_the_base_point(elliptic_wd):
     # frozen from two independent pipelines (exact-tangent route and the
     # chart-free finite-difference oracle), which agree to ~5e-12
     golden = -0.0478515625  # == -(4 - a^2)^2 / 64 at a = 3/2
-    pd = dg.point_diagnostics(elliptic_wd, elliptic_surface, 0j, h=1.5e-5)
+    pd = dg.point_diagnostics(elliptic_wd, elliptic_surface(0j), 0j)
     assert pd.K == pytest.approx(golden, abs=1e-9)
     assert abs(pd.H) <= 1e-8
     h_fd, k_fd = dg.mean_curvature_fd(lambda u, v: ct.catenoid_closed_form(SPEC, u, v),
@@ -149,6 +199,67 @@ def test_mean_curvature_gauge_invariance():
     dg.grid_diagnostics(twisted)
     assert np.nanmax(np.abs(plain.H - twisted.H)) <= 1e-8
     assert np.nanmax(np.abs(plain.K - twisted.K)) <= 1e-8
+
+
+def _closed_form_grid(surface, wd, u_nodes, v_nodes):
+    x = np.array([[surface(float(u), float(v)) for u in u_nodes] for v in v_nodes])
+    shape = (len(v_nodes), len(u_nodes))
+    return fr.SurfaceGrid(u=np.asarray(u_nodes), v=np.asarray(v_nodes),
+                          F=np.full(shape + (2, 2), np.nan, dtype=complex), X=x,
+                          valid=np.ones(shape, dtype=bool), det_drift=np.full(shape, np.nan),
+                          wd=wd)
+
+
+DIAGNOSTIC_SLOTS = ("phi2", "H", "K", "conformality_defect", "gauss_residual",
+                    "lightlike_residual", "second_form_imag")
+
+
+def test_grid_node_on_a_pole_of_the_data_stays_valid_with_nan_slots():
+    # power-type data G = u, omega = lam/u^2 has its pole on the node w = 0;
+    # the stored X there is any light-cone point, the others are the surface
+    nu = 0.5
+    wd = bj.WeierstrassData.from_strings("u", f"{(1 - nu * nu) / 4!r}/u^2")
+    u_nodes, v_nodes = np.linspace(0.0, 1.0, 5), np.linspace(-0.5, 0.5, 5)
+
+    def surface(u, v):
+        if u == 0.0 and v == 0.0:
+            return lz.F3.copy()
+        f = ct.power_type_frame(nu, complex(u, v))
+        return lz.hermitize(f @ lz.F3 @ f.conj().T)
+
+    grid = dg.grid_diagnostics(_closed_form_grid(surface, wd, u_nodes, v_nodes))
+    pole = (2, 0)
+    assert grid.valid[pole]
+    for name in DIAGNOSTIC_SLOTS:
+        slot = getattr(grid, name)
+        assert np.isnan(slot[pole]), name
+        others = np.ones(slot.shape, dtype=bool)
+        others[pole] = False
+        assert np.all(np.isfinite(slot[others])), name
+    assert np.nanmax(np.abs(grid.H)) <= 1e-8
+    with pytest.raises(IntegrationError):
+        dg.point_diagnostics(wd, grid.X[pole], 0j)
+
+
+def test_degenerate_metric_node_keeps_nan_curvatures(elliptic_wd):
+    # lambda X is a light-cone point with the same M; scaling one node by
+    # 1e-7 takes phi^2 below the floor while the tangent plane keeps rank 3
+    u_nodes, v_nodes = np.linspace(0.0, 2 * np.pi, 7), np.linspace(-0.5, 0.5, 3)
+    grid = _closed_form_grid(lambda u, v: ct.catenoid_closed_form(SPEC, u, v),
+                             elliptic_wd, u_nodes, v_nodes)
+    node = (1, 3)
+    grid.X[node] *= 1e-7
+    x, w = grid.X[node], complex(u_nodes[3], v_nodes[1])
+    xu, xv = dg.tangent_vectors(elliptic_wd, x, w)
+    dg.gauss_map(x, xu, xv)  # the plane is not degenerate
+    with pytest.raises(DegenerateMetricError):
+        dg.point_diagnostics(elliptic_wd, x, w)
+    dg.grid_diagnostics(grid)
+    assert grid.valid[node]
+    for name in DIAGNOSTIC_SLOTS:
+        slot = getattr(grid, name)
+        assert np.isnan(slot[node]), name
+        assert np.sum(np.isnan(slot)) == 1, name
 
 
 def test_perturbed_flow_is_a_negative_control():
