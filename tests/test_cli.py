@@ -220,8 +220,6 @@ HYPERBOLIC_BJORLING = {
     ("catenoid", {"catenoid": {"family": "parabolic", "param": 0.5}},
      ("grid.npz", "diagnostics.csv")),
     ("extend", {"extend": {"param": 0.5}}, ("base_chart_grid.npz", "base_chart.csv")),
-    ("extend", {"extend": {"param": 0.5}},
-     ("extension_chart_grid.npz", "extension_chart.csv")),
     ("solve", HYPERBOLIC_BJORLING, ("grid.npz", "diagnostics.csv")),
 ])
 def test_diagnose_rewrites_the_producing_csv_byte_for_byte(tmp_path, mode, job, produced):

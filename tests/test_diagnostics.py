@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 from lightcone import bjorling as bj
 from lightcone import catenoids as ct
+from lightcone import cli
 from lightcone import diagnostics as dg
 from lightcone import frame as fr
 from lightcone import lorentz as lz
@@ -201,15 +202,6 @@ def test_mean_curvature_gauge_invariance():
     assert np.nanmax(np.abs(plain.K - twisted.K)) <= 1e-8
 
 
-def _closed_form_grid(surface, wd, u_nodes, v_nodes):
-    x = np.array([[surface(float(u), float(v)) for u in u_nodes] for v in v_nodes])
-    shape = (len(v_nodes), len(u_nodes))
-    return fr.SurfaceGrid(u=np.asarray(u_nodes), v=np.asarray(v_nodes),
-                          F=np.full(shape + (2, 2), np.nan, dtype=complex), X=x,
-                          valid=np.ones(shape, dtype=bool), det_drift=np.full(shape, np.nan),
-                          wd=wd)
-
-
 DIAGNOSTIC_SLOTS = ("phi2", "H", "K", "conformality_defect", "gauss_residual",
                     "lightlike_residual", "second_form_imag")
 
@@ -219,15 +211,14 @@ def test_grid_node_on_a_pole_of_the_data_stays_valid_with_nan_slots():
     # the stored X there is any light-cone point, the others are the surface
     nu = 0.5
     wd = bj.WeierstrassData.from_strings("u", f"{(1 - nu * nu) / 4!r}/u^2")
-    u_nodes, v_nodes = np.linspace(0.0, 1.0, 5), np.linspace(-0.5, 0.5, 5)
-
     def surface(u, v):
         if u == 0.0 and v == 0.0:
             return lz.F3.copy()
         f = ct.power_type_frame(nu, complex(u, v))
         return lz.hermitize(f @ lz.F3 @ f.conj().T)
 
-    grid = dg.grid_diagnostics(_closed_form_grid(surface, wd, u_nodes, v_nodes))
+    grid = dg.grid_diagnostics(
+        cli._closed_form_grid(surface, fr.GridSpec((0.0, 1.0), (-0.5, 0.5), 5, 5), wd))
     pole = (2, 0)
     assert grid.valid[pole]
     for name in DIAGNOSTIC_SLOTS:
@@ -244,12 +235,11 @@ def test_grid_node_on_a_pole_of_the_data_stays_valid_with_nan_slots():
 def test_degenerate_metric_node_keeps_nan_curvatures(elliptic_wd):
     # lambda X is a light-cone point with the same M; scaling one node by
     # 1e-7 takes phi^2 below the floor while the tangent plane keeps rank 3
-    u_nodes, v_nodes = np.linspace(0.0, 2 * np.pi, 7), np.linspace(-0.5, 0.5, 3)
-    grid = _closed_form_grid(lambda u, v: ct.catenoid_closed_form(SPEC, u, v),
-                             elliptic_wd, u_nodes, v_nodes)
+    grid = cli._closed_form_grid(lambda u, v: ct.catenoid_closed_form(SPEC, u, v),
+                                 fr.GridSpec((0.0, 2 * np.pi), (-0.5, 0.5), 7, 3), elliptic_wd)
     node = (1, 3)
     grid.X[node] *= 1e-7
-    x, w = grid.X[node], complex(u_nodes[3], v_nodes[1])
+    x, w = grid.X[node], complex(grid.u[3], grid.v[1])
     xu, xv = dg.tangent_vectors(elliptic_wd, x, w)
     dg.gauss_map(x, xu, xv)  # the plane is not degenerate
     with pytest.raises(DegenerateMetricError):
