@@ -229,9 +229,19 @@ class WeierstrassData:
         return ex.compile_ast(self.omega)
 
     @cached_property
-    def derivative_fns(self):
-        """Compiled dG/dw and domega/dw."""
-        return ex.compile_ast(ex.diff(self.G)), ex.compile_ast(ex.diff(self.omega))
+    def coef_fn(self):
+        """w -> (m11, m12, m21, m22) of M = omega (G, 1)^T (1, -G), with
+        m11 = G omega, m12 = -(G m11), m21 = omega and m22 = -m11.
+
+        Built from the raw node classes, not the folding constructors, so
+        every entry comes from exactly these operations."""
+        m11 = ex.Mul(self.G, self.omega)
+        return ex.compile_ast((m11, ex.Neg(ex.Mul(self.G, m11)), self.omega, ex.Neg(m11)))
+
+    @cached_property
+    def jet_fn(self):
+        """w -> (G, omega, dG/dw, domega/dw) in one call."""
+        return ex.compile_ast((self.G, self.omega, ex.diff(self.G), ex.diff(self.omega)))
 
     @classmethod
     def from_strings(cls, g: str, omega: str, chart: str = "u") -> "WeierstrassData":

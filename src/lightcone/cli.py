@@ -100,16 +100,13 @@ def bjorling_from_job(job: dict) -> BjorlingData:
         _require(isinstance(blk, dict), "bjorling block must be an object")
         _require("gamma" in blk and "tangent" in blk and "interval" in blk,
                  "bjorling block needs gamma, tangent and interval")
-        interval = blk["interval"]
-        _require(isinstance(interval, (list, tuple)) and len(interval) == 2,
-                 "interval must be [u_min, u_max]")
+        interval = _increasing_pair(blk["interval"], "bjorling.interval")
         samples = blk.get("samples", 33)
         _require(isinstance(samples, int), "samples must be an integer")
         gamma = _matrix_from_block(blk["gamma"], "gamma")
         tangent = _matrix_from_block(blk["tangent"], "tangent")
         try:
-            return BjorlingData(gamma, tangent, (float(interval[0]), float(interval[1])),
-                                samples)
+            return BjorlingData(gamma, tangent, interval, samples)
         except ValidationError as exc:
             raise SchemaError(str(exc)) from exc
     if "catenoid" in job:
@@ -126,8 +123,8 @@ def catenoid_from_job(job: dict):
     param = blk.get("param", DEFAULT_PARAMS.get(family))
     _require(param is not None, "catenoid block needs a param")
     try:
-        spec = CatenoidSpec(family, float(param))
-    except (ValidationError, ValueError) as exc:
+        spec = CatenoidSpec(family, _number(param, "catenoid.param"))
+    except ValidationError as exc:
         raise SchemaError(str(exc)) from exc
     return spec, bool(blk.get("flip_tangent_sign", False))
 
@@ -141,32 +138,43 @@ def grid_from_job(job: dict, fallback=None) -> GridSpec:
     _require(isinstance(blk, dict), "grid block must be an object")
     for key in ("u_range", "v_range", "n_u", "n_v"):
         _require(key in blk, f"grid block is missing {key!r}")
-    u_range, v_range = blk["u_range"], blk["v_range"]
-    for name, rng in (("u_range", u_range), ("v_range", v_range)):
-        _require(isinstance(rng, (list, tuple)) and len(rng) == 2 and rng[1] > rng[0],
-                 f"grid.{name} must be an increasing pair")
+    u_range = _increasing_pair(blk["u_range"], "grid.u_range")
+    v_range = _increasing_pair(blk["v_range"], "grid.v_range")
     n_u, n_v = blk["n_u"], blk["n_v"]
     _require(isinstance(n_u, int) and isinstance(n_v, int) and n_u >= 2 and n_v >= 2,
              "grid.n_u and grid.n_v must be integers >= 2")
-    return GridSpec((float(u_range[0]), float(u_range[1])),
-                    (float(v_range[0]), float(v_range[1])), n_u, n_v)
+    return GridSpec(u_range, v_range, n_u, n_v)
 
 
-def _tolerance(value, name) -> float:
-    # NaN would make every `residual > tol` comparison false and pass any data
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value) and value > 0,
-             f"{name} must be a finite positive number, got {value!r}")
+def _number(value, name, positive=False) -> float:
+    """A finite float from a JSON number; NaN, inf, bools, strings and lists
+    are schema errors (NaN would make every `residual > tol` comparison
+    false, and a NaN parameter would yield a NaN surface)."""
+    try:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value) and (value > 0 or not positive)
+    except OverflowError:  # an integer beyond float range
+        ok = False
+    _require(ok, f"{name} must be a finite{' positive' if positive else ''} number, "
+                 f"got {value!r}")
     return float(value)
+
+
+def _increasing_pair(value, name) -> tuple[float, float]:
+    _require(isinstance(value, (list, tuple)) and len(value) == 2,
+             f"{name} must be a pair [lo, hi]")
+    lo, hi = (_number(x, f"{name}[{k}]") for k, x in enumerate(value))
+    _require(hi > lo, f"{name} must be an increasing pair")
+    return lo, hi
 
 
 def tolerances_from_job(job: dict, tol_override=None):
     blk = job.get("tolerances", {})
     _require(isinstance(blk, dict), "tolerances block must be an object")
-    kw = {key: _tolerance(blk[key], f"tolerances.{key}")
+    kw = {key: _number(blk[key], f"tolerances.{key}", positive=True)
           for key in ("conformality", "orientability") if blk.get(key) is not None}
     if tol_override is not None:
-        kw["conformality"] = _tolerance(tol_override, "--tol")
+        kw["conformality"] = _number(tol_override, "--tol", positive=True)
     return kw
 
 
@@ -419,14 +427,12 @@ def run_extend(job: dict, out_flag=None) -> int:
     out = _out_dir(job, out_flag)
     blk = job.get("extend", {})
     _require(isinstance(blk, dict), "extend block must be an object")
-    c = float(blk.get("param", 0.5))
+    c = _number(blk.get("param", 0.5), "extend.param")
     if c == 0:
         raise SchemaError("extend parameter must be nonzero")
     base_grid_spec = grid_from_job(
         job, fallback=((math.log(0.5), math.log(2.0)), (0.0, 2.0 * math.pi), 33, 33))
-    ut_range = blk.get("utilde_range", [-1.5, 1.5])
-    _require(isinstance(ut_range, (list, tuple)) and len(ut_range) == 2
-             and ut_range[1] > ut_range[0], "extend.utilde_range must be an increasing pair")
+    ut_range = _increasing_pair(blk.get("utilde_range", [-1.5, 1.5]), "extend.utilde_range")
     n_ut = int(blk.get("n_utilde", 31))
 
     wd = nonrotational_weierstrass_wchart(c)

@@ -55,12 +55,11 @@ def surface_derivatives(wd: WeierstrassData, x: np.ndarray, w):
     evaluate to finite values raises IntegrationError; stacked inputs return
     the mask of nodes where they did as a sixth output, NaN elsewhere.
     """
-    gfn, ofn = wd.G_fn, wd.omega_fn
-    dgfn, dofn = wd.derivative_fns
+    jet = wd.jet_fn
     rows = []
     for wk in np.ravel(w).astype(complex).tolist():
         try:
-            g, om, dg, dom = gfn(wk), ofn(wk), dgfn(wk), dofn(wk)
+            g, om, dg, dom = jet(wk)
         except (ZeroDivisionError, ValueError, OverflowError):
             rows.append((np.nan,) * 8)
             continue

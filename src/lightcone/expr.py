@@ -21,6 +21,7 @@ folding; derivative trees are left as produced by the rules.
 from __future__ import annotations
 
 import cmath
+import struct
 from dataclasses import dataclass
 
 from .errors import EvalError, ParseError
@@ -565,7 +566,7 @@ def to_string(e: ExprAST) -> str:
 
 
 # ---------------------------------------------------------------------------
-# compilation (hot-path evaluation; semantics identical to ExprAST.eval)
+# compilation (hot-path evaluation; the same operations as ExprAST.eval)
 
 _COMPILE_NS = {
     "exp": cmath.exp, "log": _clog, "sqrt": cmath.sqrt,
@@ -573,34 +574,96 @@ _COMPILE_NS = {
     "_cpow": _cpow,
 }
 
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
-def _codegen(e: ExprAST) -> str:
-    if isinstance(e, Const):
-        return repr(complex(e.value))
-    if isinstance(e, Var):
-        return "u"
+
+def _children(e: ExprAST) -> tuple:
+    if isinstance(e, (Const, Var)):
+        return ()
     if isinstance(e, Neg):
-        return f"(-{_codegen(e.a)})"
-    if isinstance(e, Add):
-        return f"({_codegen(e.a)} + {_codegen(e.b)})"
-    if isinstance(e, Sub):
-        return f"({_codegen(e.a)} - {_codegen(e.b)})"
-    if isinstance(e, Mul):
-        return f"({_codegen(e.a)} * {_codegen(e.b)})"
-    if isinstance(e, Div):
-        return f"({_codegen(e.a)} / {_codegen(e.b)})"
-    if isinstance(e, Pow):
-        return f"_cpow({_codegen(e.base)}, {_codegen(e.exponent)})"
+        return (e.a,)
     if isinstance(e, Call):
-        return f"{e.name}({_codegen(e.arg)})"
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base, e.exponent)
+    if type(e) in _BINARY:
+        return (e.a, e.b)
     raise TypeError(f"cannot compile {type(e).__name__}")
 
 
-def compile_ast(e: ExprAST):
-    """Compile to a plain callable w -> complex.
+def _emit(roots):
+    """Straight-line source for the roots: (lines, operand names, constants).
 
-    Raises native ZeroDivisionError/ValueError/OverflowError at poles rather
-    than EvalError; used inside integrators where the caller knows w.
+    Post-order with an explicit stack, so tree depth costs no recursion and
+    the output nests no parentheses.  Each distinct subtree gets one
+    assignment; a subtree is keyed on its operator and the names of its
+    operands, and a constant on the bytes of its real and imaginary parts,
+    never on `==`, which equates 0.0 with -0.0 and no NaN with itself.
     """
-    src = f"lambda u: ({_codegen(e)})"
-    return eval(compile(src, "<expr>", "eval"), dict(_COMPILE_NS))
+    by_id: dict[int, str] = {}       # id(node) -> operand name
+    by_key: dict[tuple, str] = {}    # structural key -> operand name
+    consts: list[complex] = []
+    lines: list[str] = []
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if id(node) in by_id:
+                continue
+            kids = _children(node)
+            if kids and not expanded:
+                stack.append((node, True))
+                stack.extend((kid, False) for kid in reversed(kids))
+                continue
+            args = [by_id[id(kid)] for kid in kids]
+            if isinstance(node, Const):
+                value = complex(node.value)
+                key = ("const", struct.pack("<dd", value.real, value.imag))
+            elif isinstance(node, Call):
+                key = ("call", node.name, *args)
+            else:
+                key = (type(node).__name__, *args)
+            name = by_key.get(key)
+            if name is None:
+                if isinstance(node, Const):
+                    name = f"c{len(consts)}"
+                    consts.append(value)
+                elif isinstance(node, Var):
+                    name = "u"
+                else:
+                    name = f"t{len(lines)}"
+                    if isinstance(node, Neg):
+                        rhs = f"-{args[0]}"
+                    elif isinstance(node, Pow):
+                        rhs = f"_cpow({args[0]}, {args[1]})"
+                    elif isinstance(node, Call):
+                        rhs = f"{node.name}({args[0]})"
+                    else:
+                        rhs = f"{args[0]} {_BINARY[type(node)]} {args[1]}"
+                    lines.append(f"        {name} = {rhs}")
+                by_key[key] = name
+            by_id[id(node)] = name
+    return lines, [by_id[id(root)] for root in roots], consts
+
+
+def compile_ast(e):
+    """Compile one tree to w -> complex, or a tuple of trees to w -> tuple.
+
+    The emitted function is straight-line code with one assignment per
+    distinct subtree, shared within and across the trees of a tuple.
+    Constants are bound by name, so every complex value (signed zeros, NaN
+    and inf included) reaches the code bit for bit.  Each node runs the same
+    floating-point operation as ExprAST.eval, so values are bitwise equal to
+    it; at poles the function raises the native ZeroDivisionError,
+    ValueError or OverflowError instead of EvalError, for callers inside
+    integrators that know w.
+    """
+    roots = tuple(e) if isinstance(e, tuple) else (e,)
+    lines, results, consts = _emit(roots)
+    params = ", ".join([*_COMPILE_NS, *(f"c{k}" for k in range(len(consts)))])
+    ret = f"({', '.join(results)},)" if isinstance(e, tuple) else results[0]
+    src = "\n".join([f"def _bind({params}):", "    def compiled(u):", *lines,
+                     f"        return {ret}", "    return compiled"])
+    scope: dict = {}
+    exec(compile(src, "<expr>", "exec"), scope)
+    return scope["_bind"](*_COMPILE_NS.values(), *consts)

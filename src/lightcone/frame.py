@@ -9,18 +9,21 @@ constant along any path; |det F - 1| is tracked as the integrator's primary
 accuracy sentinel and is never silently repaired (an explicit renormalization
 flag exists for experiments).
 
-Grids are integrated deterministically: a sweep along the real axis from the
-middle u-node, then each column vertically.  Columns are independent given
-the axis sweep; LIGHTCONE_THREADS > 1 runs them in a thread pool with results
-merged in index order.
+Each RK4 step is step-doubled (one step of h against two of h/2).  The nine
+evaluations of M this takes fall on six bit-distinct points, w, w+h/4,
+w+h/2, w+h and two past the midpoint, so each is evaluated once, and M(w)
+is kept across rejected retries: 6 evaluations per step, 5 per retry.
+
+Grids are integrated deterministically in one thread: a sweep along the
+real axis from the middle u-node, then each column vertically.  (The
+integrator is pure Python and holds the GIL, so a thread pool gains
+nothing.)
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,24 +44,6 @@ _H_MIN = 1e-12
 Mat4 = tuple[complex, complex, complex, complex]  # (m11, m12, m21, m22)
 
 
-def _coef(gfn, ofn, w: complex) -> Mat4:
-    gv = gfn(w)
-    om = ofn(w)
-    m11 = gv * om
-    return (m11, -(gv * m11), om, -m11)
-
-
-def _mul(a: Mat4, b: Mat4) -> Mat4:
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-
-
-def _axpy(f: Mat4, k: Mat4, s: complex) -> Mat4:
-    return (f[0] + s * k[0], f[1] + s * k[1], f[2] + s * k[2], f[3] + s * k[3])
-
-
 def _finite(m: Mat4) -> bool:
     return all(cmath.isfinite(z) for z in m)
 
@@ -66,7 +51,7 @@ def _finite(m: Mat4) -> bool:
 def coefficient_matrix(wd: WeierstrassData, w: complex) -> np.ndarray:
     """M(w) = [[G, -G^2], [1, -G]] omega(w) as a numpy matrix."""
     try:
-        m = _coef(wd.G_fn, wd.omega_fn, w)
+        m = wd.coef_fn(w)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         raise IntegrationError(f"coefficient evaluation failed: {exc}", w) from exc
     if not _finite(m):
@@ -75,21 +60,8 @@ def coefficient_matrix(wd: WeierstrassData, w: complex) -> np.ndarray:
 
 
 def ode_rhs(wd: WeierstrassData, w: complex, f: np.ndarray) -> np.ndarray:
-    """Right-hand side M(w) F.  The structure matrix [[G, -G*G], [1, -G]] is
-    trace free and singular exactly (in floating point, not just in exact
-    arithmetic); both are asserted on every call."""
-    try:
-        gv = wd.G_fn(w)
-        om = wd.omega_fn(w)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        raise IntegrationError(f"coefficient evaluation failed: {exc}", w) from exc
-    assert gv + (-gv) == 0
-    assert gv * (-gv) + gv * gv == 0
-    m11 = gv * om
-    m = np.array([[m11, -(gv * m11)], [om, -m11]], dtype=complex)
-    if not _finite((m[0, 0], m[0, 1], m[1, 0], m[1, 1])):
-        raise IntegrationError("coefficient matrix is not finite", w)
-    return m @ np.asarray(f, dtype=complex)
+    """Right-hand side M(w) F of the frame equation."""
+    return coefficient_matrix(wd, w) @ np.asarray(f, dtype=complex)
 
 
 @dataclass
@@ -104,19 +76,41 @@ def _det(f: Mat4) -> complex:
     return f[0] * f[3] - f[1] * f[2]
 
 
-def _rk4(gfn, ofn, f: Mat4, w: complex, hc: complex) -> Mat4:
-    m_a = _coef(gfn, ofn, w)
-    m_b = _coef(gfn, ofn, w + 0.5 * hc)
-    m_c = _coef(gfn, ofn, w + hc)
-    k1 = _mul(m_a, f)
-    k2 = _mul(m_b, _axpy(f, k1, 0.5 * hc))
-    k3 = _mul(m_b, _axpy(f, k2, 0.5 * hc))
-    k4 = _mul(m_c, _axpy(f, k3, hc))
+def _rk4(f: Mat4, hc: complex, m_a: Mat4, m_b: Mat4, m_c: Mat4) -> Mat4:
+    """One classical RK4 step of dF = M F dw over hc, given M at the start,
+    the midpoint and the end of the step."""
+    f11, f12, f21, f22 = f
+    half = 0.5 * hc
+    a11, a12, a21, a22 = m_a
+    k1_11 = a11 * f11 + a12 * f21
+    k1_12 = a11 * f12 + a12 * f22
+    k1_21 = a21 * f11 + a22 * f21
+    k1_22 = a21 * f12 + a22 * f22
+    y11, y12 = f11 + half * k1_11, f12 + half * k1_12
+    y21, y22 = f21 + half * k1_21, f22 + half * k1_22
+    b11, b12, b21, b22 = m_b
+    k2_11 = b11 * y11 + b12 * y21
+    k2_12 = b11 * y12 + b12 * y22
+    k2_21 = b21 * y11 + b22 * y21
+    k2_22 = b21 * y12 + b22 * y22
+    y11, y12 = f11 + half * k2_11, f12 + half * k2_12
+    y21, y22 = f21 + half * k2_21, f22 + half * k2_22
+    k3_11 = b11 * y11 + b12 * y21
+    k3_12 = b11 * y12 + b12 * y22
+    k3_21 = b21 * y11 + b22 * y21
+    k3_22 = b21 * y12 + b22 * y22
+    y11, y12 = f11 + hc * k3_11, f12 + hc * k3_12
+    y21, y22 = f21 + hc * k3_21, f22 + hc * k3_22
+    c11, c12, c21, c22 = m_c
+    k4_11 = c11 * y11 + c12 * y21
+    k4_12 = c11 * y12 + c12 * y22
+    k4_21 = c21 * y11 + c22 * y21
+    k4_22 = c21 * y12 + c22 * y22
     sixth = hc / 6.0
-    return (f[0] + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            f[1] + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            f[2] + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-            f[3] + sixth * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]))
+    return (f11 + sixth * (k1_11 + 2 * k2_11 + 2 * k3_11 + k4_11),
+            f12 + sixth * (k1_12 + 2 * k2_12 + 2 * k3_12 + k4_12),
+            f21 + sixth * (k1_21 + 2 * k2_21 + 2 * k3_21 + k4_21),
+            f22 + sixth * (k1_22 + 2 * k2_22 + 2 * k3_22 + k4_22))
 
 
 def integrate_frame(wd: WeierstrassData, f0: np.ndarray, path,
@@ -127,10 +121,12 @@ def integrate_frame(wd: WeierstrassData, f0: np.ndarray, path,
 
     Classical RK4 with step doubling: each step of arclength h is accepted
     once the Richardson error estimate |F_(h/2x2) - F_h|/15 drops below
-    eps_loc * h, halving h as needed.  Pole hits surface as IntegrationError
-    carrying the offending w; h < 1e-12 raises StiffnessError.
+    eps_loc * h, halving h as needed.  M comes from wd.coef_fn, evaluated
+    6 times per step and 5 per rejected retry.  Pole hits surface as
+    IntegrationError carrying the offending w; h < 1e-12 raises
+    StiffnessError.
     """
-    gfn, ofn = wd.G_fn, wd.omega_fn
+    coef = wd.coef_fn
     f = (complex(f0[0, 0]), complex(f0[0, 1]), complex(f0[1, 0]), complex(f0[1, 1]))
     waypoints = [complex(p) for p in path]
     for w_a, w_b in zip(waypoints[:-1], waypoints[1:]):
@@ -146,14 +142,23 @@ def integrate_frame(wd: WeierstrassData, f0: np.ndarray, path,
         while s < length * (1.0 - 1e-14):
             h = min(h, length - s)
             w = w_a + direction * s
+            m_w = None  # M(w), kept across rejected retries
             while True:
                 if h < _H_MIN:
                     raise StiffnessError("step size underflow", w)
                 hc = direction * h
+                hh = 0.5 * hc
+                w_mid = w + hh
                 try:
-                    big = _rk4(gfn, ofn, f, w, hc)
-                    half = _rk4(gfn, ofn, f, w, 0.5 * hc)
-                    two = _rk4(gfn, ofn, half, w + 0.5 * hc, 0.5 * hc)
+                    if m_w is None:
+                        m_w = coef(w)
+                    m_mid = coef(w_mid)
+                    m_end = coef(w + hc)
+                    big = _rk4(f, hc, m_w, m_mid, m_end)
+                    # the two half steps, each with its points computed as a
+                    # half step from its own start, as the full step's are
+                    half = _rk4(f, hh, m_w, coef(w + 0.5 * hh), m_mid)
+                    two = _rk4(half, hh, m_mid, coef(w_mid + 0.5 * hh), coef(w_mid + hh))
                 except (ZeroDivisionError, ValueError, OverflowError) as exc:
                     raise IntegrationError(f"coefficient evaluation failed: {exc}", w) from exc
                 if not (_finite(big) and _finite(two)):
@@ -245,21 +250,11 @@ class SurfaceGrid:
         return len(self.v)
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    try:
-        return max(1, int(os.environ.get("LIGHTCONE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def solve_bjorling(data: BjorlingData, grid: GridSpec,
                    wd: WeierstrassData | None = None,
                    initial_twist: np.ndarray | None = None,
                    eps_loc: float = EPS_LOC, h_max: float = H_MAX,
-                   renormalize_det: bool = False,
-                   threads: int | None = None) -> SurfaceGrid:
+                   renormalize_det: bool = False) -> SurfaceGrid:
     """Solve the boundary problem X(u,0) = gamma(u), X_v(u,0) = L(u) on a grid.
 
     The initial frame F(u0) comes from the rank-one factorization of
@@ -320,13 +315,11 @@ def solve_bjorling(data: BjorlingData, grid: GridSpec,
         except (EvalError, IntegrationError):
             continue  # residual slots stay NaN at data poles
 
-    # vertical columns (independent given the axis sweep)
+    # vertical columns, each from its axis node, up and down from the seam
     order = _column_order(v_nodes)
-
-    def run_column(iu: int):
-        col_f = [None] * n_v
+    for iu in range(n_u):
         if not axis_ok[iu]:
-            return col_f
+            continue
         u_i = float(u_nodes[iu])
         for sweep in order:
             f_cur = f_axis[iu]
@@ -339,26 +332,12 @@ def solve_bjorling(data: BjorlingData, grid: GridSpec,
                         renormalize_det=renormalize_det)
                 except IntegrationError:
                     break
-                col_f[iv] = f_cur
                 v_prev = float(v_nodes[iv])
-        return col_f
-
-    n_threads = _resolve_threads(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            columns = list(pool.map(run_column, range(n_u)))
-    else:
-        columns = [run_column(iu) for iu in range(n_u)]
-
-    for iu, col in enumerate(columns):
-        for iv, f_node in enumerate(col):
-            if f_node is None:
-                continue
-            f_grid[iv, iu] = f_node
-            x_grid[iv, iu] = hermitize(f_node @ F3 @ f_node.conj().T)
-            drift[iv, iu] = abs(f_node[0, 0] * f_node[1, 1]
-                                - f_node[0, 1] * f_node[1, 0] - 1.0)
-            valid[iv, iu] = True
+                f_grid[iv, iu] = f_cur
+                x_grid[iv, iu] = hermitize(f_cur @ F3 @ f_cur.conj().T)
+                drift[iv, iu] = abs(f_cur[0, 0] * f_cur[1, 1]
+                                    - f_cur[0, 1] * f_cur[1, 0] - 1.0)
+                valid[iv, iu] = True
 
     return SurfaceGrid(u=u_nodes, v=v_nodes, F=f_grid, X=x_grid, valid=valid,
                        det_drift=drift, wd=wd,

@@ -129,8 +129,13 @@ def test_criterion_3_zero_mean_curvature(pipeline):
     _, data, _ = solved["elliptic"]
     wd0 = bj.weierstrass_from_bjorling(data)
     f0 = lz.frame_from_point(lz.hermitize(data.gamma.eval(np.pi)))
-    perturbed = SimpleNamespace(G_fn=wd0.G_fn,
-                                omega_fn=lambda w: wd0.omega_fn(w) * (1 + 0.1 * w.real))
+
+    def perturbed_coef(w):
+        g, om = wd0.G_fn(w), wd0.omega_fn(w) * (1 + 0.1 * w.real)
+        m11 = g * om
+        return (m11, -(g * m11), om, -m11)
+
+    perturbed = SimpleNamespace(coef_fn=perturbed_coef)
 
     def x_perturbed(u, v):
         f = fr.integrate_frame(perturbed, f0, [np.pi, u, complex(u, v)])

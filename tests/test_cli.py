@@ -271,3 +271,79 @@ def test_closed_form_modes_have_no_tol_flag(tmp_path, mode):
     with pytest.raises(SystemExit) as exc:
         cli.main([mode, "--out", str(tmp_path), "--tol", "1e-3"])
     assert exc.value.code == 2  # argparse usage error
+
+
+def test_long_flat_sum_solves(tmp_path):
+    # 250 terms in one sum nest 250 binary nodes deep
+    job = {
+        "bjorling": {
+            "gamma": {"m11": " + ".join(["0.004*u^2"] * 250), "m12": "u",
+                      "m21": "u", "m22": "1"},
+            "tangent": {"m11": "0.5*u^2", "m12": "0.5*u + i",
+                        "m21": "0.5*u - i", "m22": "0.5"},
+            "interval": [0.5, 2.0],
+        },
+        "grid": {"u_range": [0.5, 2.0], "v_range": [-0.5, 0.5], "n_u": 5, "n_v": 3},
+    }
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"]["max_boundary_curve_residual"] <= 1e-8
+
+
+_NOT_FINITE = [math.nan, math.inf, -math.inf, True, "1.5", [1.5]]
+
+
+def _assert_one_line_schema_error(capsys, field):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+def test_catenoid_param_must_be_finite(tmp_path, capsys, bad):
+    job = {"catenoid": {"family": "elliptic", "param": bad}}
+    rc = cli.main(["catenoid", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "catenoid.param")
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+def test_extend_param_must_be_finite(tmp_path, capsys, bad):
+    job = {"extend": {"param": bad}}
+    rc = cli.main(["extend", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "extend.param")
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE + ["ab"])
+def test_bjorling_interval_must_be_finite(tmp_path, capsys, bad):
+    job = json.loads(json.dumps(REJECTED_PARABOLIC))
+    job["bjorling"]["interval"] = bad if bad == "ab" else [0.5, bad]
+    assert cli.main(["check", "--input", _write_job(tmp_path / "job.json", job)]) \
+        == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "bjorling.interval")
+
+
+@pytest.mark.parametrize("key", ["u_range", "v_range"])
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+def test_grid_ranges_must_be_finite(tmp_path, capsys, key, bad):
+    grid = {"u_range": [0.5, 2.0], "v_range": [-0.5, 0.5], "n_u": 5, "n_v": 3}
+    grid[key] = [-0.5, bad]
+    job = {"catenoid": {"family": "parabolic", "param": 0.5}, "grid": grid}
+    rc = cli.main(["solve", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, f"grid.{key}")
+
+
+def test_extend_utilde_range_must_be_finite(tmp_path, capsys):
+    job = {"extend": {"param": 0.5, "utilde_range": [-1.0, math.nan]}}
+    rc = cli.main(["extend", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "extend.utilde_range")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import pytest
 from hypothesis import assume, given, settings
@@ -82,11 +83,28 @@ def test_diff_constant_is_zero():
 
 
 def test_compiled_matches_eval():
-    for text in ("exp(2*i*u)", "u^2 - 3/u", "sqrt(u + 4)", "(u - 2*i)^3 / (u + 5)"):
+    # the last is a flat sum 250 binary nodes deep
+    for text in ("exp(2*i*u)", "u^2 - 3/u", "sqrt(u + 4)", "(u - 2*i)^3 / (u + 5)",
+                 " + ".join(["0.001*u"] * 250)):
         node = ex.parse(text)
         fn = ex.compile_ast(node)
         for w in (0.7, -1.3 + 0.2j, 2.5j):
             assert fn(w) == node.eval(w)
+
+
+def test_compiled_constants_keep_their_bits():
+    # 0.0 == -0.0, but u + 0.0 and u + -0.0 differ at u = -0.0 - 0.0j
+    u = ex.Var()
+    pos, neg = ex.Add(u, ex.Const(complex(0.0, 0.0))), ex.Add(u, ex.Const(complex(-0.0, -0.0)))
+    fn = ex.compile_ast((pos, neg))
+    w = complex(-0.0, -0.0)
+    assert [_bits(v) for v in fn(w)] == [_bits(pos.eval(w)), _bits(neg.eval(w))]
+    assert _bits(fn(w)[0]) != _bits(fn(w)[1])
+
+
+def test_overflowing_literal_compiles():
+    # 1e400 parses to an infinite constant, which has no Python literal
+    assert cmath.isnan(ex.compile_ast(ex.parse("1e400*u - 1e400*u"))(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +210,70 @@ def test_real_coefficients_real_arguments_real_values(e, wr):
     assume(_stencil_safe(e, [wr]))
     value = e.eval(wr)
     assert abs(value.imag) <= 1e-14 * (1.0 + abs(value))
+
+
+def _bits(z) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+_parts = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                   st.floats(-3, 3))
+_raw_consts = st.builds(lambda re, im: ex.Const(complex(re, im)), _parts, _parts)
+
+
+def _raw_ast_strategy():
+    """Trees built from the node classes, so nothing is folded away."""
+    base = st.one_of(_raw_consts, st.just(ex.Var()))
+
+    def extend(children):
+        return st.one_of(
+            children.map(ex.Neg),
+            st.tuples(st.sampled_from(ex.FUNCTIONS), children).map(lambda t: ex.Call(*t)),
+            st.tuples(st.sampled_from((ex.Add, ex.Sub, ex.Mul, ex.Div)),
+                      children, children).map(lambda t: t[0](t[1], t[2])),
+            st.tuples(children, st.sampled_from((-2, -1, 2, 3, 0.5))).map(
+                lambda t: ex.Pow(t[0], ex.Const(complex(t[1])))),
+        )
+
+    return st.recursive(base, extend, max_leaves=10)
+
+
+_args = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2, 2))
+_NATIVE_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
+
+def _eval_bits(e, w):
+    try:
+        return _bits(e.eval(w))
+    except EvalError:
+        return None
+
+
+@given(e=_raw_ast_strategy(), wr=_args, wi=_args)
+@settings(max_examples=300, deadline=None)
+def test_compiled_is_bitwise_eval(e, wr, wi):
+    w = complex(wr, wi)
+    want = _eval_bits(e, w)
+    fn = ex.compile_ast(e)
+    if want is None:
+        with pytest.raises(_NATIVE_ERRORS):
+            fn(w)
+    else:
+        assert _bits(fn(w)) == want
+
+
+@given(shared=_raw_ast_strategy(), a=_raw_ast_strategy(), b=_raw_ast_strategy(),
+       wr=_args, wi=_args)
+@settings(max_examples=200, deadline=None)
+def test_compiled_tuple_is_bitwise_eval(shared, a, b, wr, wi):
+    # subtrees shared by identity and by structure, within and across entries
+    trees = (ex.Add(shared, a), ex.Mul(b, shared), shared, ex.Add(shared, a),
+             ex.Sub(a, b))
+    w = complex(wr, wi)
+    want = [_eval_bits(t, w) for t in trees]
+    fn = ex.compile_ast(trees)
+    if None in want:
+        with pytest.raises(_NATIVE_ERRORS):
+            fn(w)
+    else:
+        assert [_bits(v) for v in fn(w)] == want

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -188,13 +190,13 @@ def test_elliptic_coefficients_agree_with_the_power_frame_route():
         assert residual <= 1e-7 * (1 + np.max(np.abs(fd)))
 
 
-def test_thread_count_does_not_change_the_solution():
+def test_repeated_solves_are_byte_identical():
     data = ct.catenoid_bjorling_data(ct.CatenoidSpec("hyperbolic", 1.5))
     grid = fr.GridSpec((-1.0, 1.0), (-0.5, 0.5), 9, 5)
-    serial = fr.solve_bjorling(data, grid, threads=1)
-    threaded = fr.solve_bjorling(data, grid, threads=4)
-    assert np.array_equal(serial.valid, threaded.valid)
-    assert np.array_equal(serial.X, threaded.X)
+    first, second = (fr.solve_bjorling(data, grid) for _ in range(2))
+    assert first.valid.all()
+    assert first.F.tobytes() == second.F.tobytes()
+    assert first.X.tobytes() == second.X.tobytes()
 
 
 def test_integrate_irregular_segment_lengths():
@@ -205,11 +207,40 @@ def test_integrate_irregular_segment_lengths():
         assert np.max(np.abs(f - ct.polynomial_type_frame(1.0, end))) <= 1e-8
 
 
-def test_threads_env_var_resolution(monkeypatch):
-    monkeypatch.setenv("LIGHTCONE_THREADS", "3")
-    assert fr._resolve_threads(None) == 3
-    monkeypatch.setenv("LIGHTCONE_THREADS", "bogus")
-    assert fr._resolve_threads(None) == 1
-    monkeypatch.delenv("LIGHTCONE_THREADS")
-    assert fr._resolve_threads(None) == 1
-    assert fr._resolve_threads(0) == 1
+def test_coefficient_calls_per_step_and_retry():
+    # six bit-distinct points per step-doubled attempt; a retry keeps M(w)
+    wd = ct.classification_weierstrass(ct.CatenoidSpec("hyperbolic", 1.5))
+    calls = [0]
+
+    def counted(w):
+        calls[0] += 1
+        return wd.coef_fn(w)
+
+    stats = fr.IntegrationStats()
+    fr.integrate_frame(SimpleNamespace(coef_fn=counted), np.eye(2, dtype=complex),
+                       [0.0, 0.7j], eps_loc=1e-14, stats=stats)
+    assert stats.rejected > 0
+    assert calls[0] == 6 * stats.steps + 5 * stats.rejected
+
+
+@pytest.mark.parametrize("family, counts", [("elliptic", (901, 6180, 0)),
+                                            ("hyperbolic", (901, 10742, 831))])
+def test_integrator_counts_at_41x21(monkeypatch, family, counts):
+    # segments, accepted steps and rejected steps over one 41x21 solve; any
+    # change in step control shows here
+    totals = [0, 0, 0]
+    integrate = fr.integrate_frame
+
+    def counting(wd, f0, path, **kwargs):
+        stats = fr.IntegrationStats()
+        f = integrate(wd, f0, path, stats=stats, **kwargs)
+        totals[0] += len(path) - 1
+        totals[1] += stats.steps
+        totals[2] += stats.rejected
+        return f
+
+    monkeypatch.setattr(fr, "integrate_frame", counting)
+    data = ct.catenoid_bjorling_data(ct.CatenoidSpec(family, 1.5))
+    grid = fr.GridSpec(ct.DEFAULT_INTERVALS[family], (-1.0, 1.0), 41, 21)
+    fr.solve_bjorling(data, grid)
+    assert tuple(totals) == counts
