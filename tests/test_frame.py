@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,6 +198,36 @@ def test_repeated_solves_are_byte_identical():
     assert first.valid.all()
     assert first.F.tobytes() == second.F.tobytes()
     assert first.X.tobytes() == second.X.tobytes()
+
+
+def test_thread_count_does_not_change_the_solution():
+    # the solver keeps no shared mutable state: four solves running in
+    # concurrent Python threads give the serial solve's bytes
+    data = ct.catenoid_bjorling_data(ct.CatenoidSpec("hyperbolic", 1.5))
+    grid = fr.GridSpec((-1.0, 1.0), (-0.5, 0.5), 9, 5)
+    serial = fr.solve_bjorling(data, grid)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda _: fr.solve_bjorling(data, grid), range(4)))
+    for sol in threaded:
+        assert np.array_equal(serial.valid, sol.valid)
+        assert sol.F.tobytes() == serial.F.tobytes()
+        assert sol.X.tobytes() == serial.X.tobytes()
+
+
+def test_threads_env_var_resolution(monkeypatch):
+    # LIGHTCONE_THREADS is no longer read and threads= no longer exists:
+    # any setting of the variable leaves the solve byte-identical
+    data = ct.catenoid_bjorling_data(ct.CatenoidSpec("elliptic", 1.0))
+    grid = fr.GridSpec((-1.0, 1.0), (-0.5, 0.5), 9, 5)
+    monkeypatch.delenv("LIGHTCONE_THREADS", raising=False)
+    unset = fr.solve_bjorling(data, grid)
+    for value in ("3", "bogus", "0"):
+        monkeypatch.setenv("LIGHTCONE_THREADS", value)
+        sol = fr.solve_bjorling(data, grid)
+        assert sol.X.tobytes() == unset.X.tobytes()
+    assert not hasattr(fr, "_resolve_threads")
+    with pytest.raises(TypeError):
+        fr.solve_bjorling(data, grid, threads=2)
 
 
 def test_integrate_irregular_segment_lengths():
