@@ -33,10 +33,11 @@ from .lorentz import herm, mat2
 
 __all__ = [
     "FAMILIES", "CatenoidSpec", "DEFAULT_PARAMS", "DEFAULT_INTERVALS",
-    "rotation", "circle", "catenoid_bjorling_data", "catenoid_closed_form",
-    "classification_weierstrass", "power_type_frame", "polynomial_type_frame",
-    "nonrotational_closed_form", "nonrotational_extension", "nonrotational_example",
-    "nonrotational_bjorling_data", "nonrotational_weierstrass_wchart", "lightlike_circle",
+    "rotation", "circle", "catenoid_bjorling_data", "catenoid_entries",
+    "catenoid_closed_form", "classification_weierstrass", "power_type_frame",
+    "polynomial_type_frame", "nonrotational_entries", "nonrotational_closed_form",
+    "nonrotational_extension", "nonrotational_example", "nonrotational_bjorling_data",
+    "nonrotational_weierstrass_wchart", "lightlike_circle",
 ]
 
 FAMILIES = ("elliptic", "hyperbolic", "parabolic")
@@ -126,17 +127,22 @@ def catenoid_bjorling_data(spec: CatenoidSpec, flip_tangent_sign: bool = False,
     return BjorlingData(gamma, tangent, DEFAULT_INTERVALS[spec.family], samples)
 
 
-def catenoid_closed_form(spec: CatenoidSpec, u: float, v: float) -> np.ndarray:
-    """The closed-form parametrization of the catenoid at (u, v)."""
+def catenoid_entries(spec: CatenoidSpec, u: float, v: float) -> tuple:
+    """(m11, m12, m22) of the catenoid's closed form at (u, v)."""
     p = spec.param
     if spec.family == "elliptic":
-        return herm(math.exp((p - 2) * v), cmath.exp(2j * u + p * v), math.exp((p + 2) * v))
+        return math.exp((p - 2) * v), cmath.exp(2j * u + p * v), math.exp((p + 2) * v)
     if spec.family == "hyperbolic":
-        return herm(math.exp(2 * u + p * v), cmath.exp((p + 2j) * v), math.exp(-2 * u + p * v))
+        return math.exp(2 * u + p * v), cmath.exp((p + 2j) * v), math.exp(-2 * u + p * v)
     if spec.family == "parabolic":
         s = math.exp(p * v)
-        return herm(s * (u * u + v * v), s * (u + 1j * v), s)
+        return s * (u * u + v * v), s * (u + 1j * v), s
     raise ValidationError(f"unknown family {spec.family!r}")
+
+
+def catenoid_closed_form(spec: CatenoidSpec, u: float, v: float) -> np.ndarray:
+    """The closed-form parametrization of the catenoid at (u, v)."""
+    return herm(*catenoid_entries(spec, u, v))
 
 
 def classification_weierstrass(spec: CatenoidSpec) -> WeierstrassData:
@@ -193,12 +199,17 @@ def polynomial_type_frame(beta: complex, z: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the non-rotational example and its extension across a lightlike circle
 
-def nonrotational_closed_form(c: float, u: float, v: float) -> np.ndarray:
-    """X(u, v) = e^{cv} [[e^{2u}, e^{u+iv}], [e^{u-iv}, 1]], c != 0."""
+def nonrotational_entries(c: float, u: float, v: float) -> tuple:
+    """(m11, m12, m22) of nonrotational_closed_form(c, u, v)."""
     if c == 0:
         raise ValidationError("parameter c must be nonzero")
     s = math.exp(c * v)
-    return herm(s * math.exp(2 * u), s * cmath.exp(u + 1j * v), s)
+    return s * math.exp(2 * u), s * cmath.exp(u + 1j * v), s
+
+
+def nonrotational_closed_form(c: float, u: float, v: float) -> np.ndarray:
+    """X(u, v) = e^{cv} [[e^{2u}, e^{u+iv}], [e^{u-iv}, 1]], c != 0."""
+    return herm(*nonrotational_entries(c, u, v))
 
 
 def nonrotational_extension(c: float, ut: float, v: float) -> np.ndarray:

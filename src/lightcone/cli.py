@@ -8,6 +8,13 @@ README for the schema and one example per mode.  Outputs per run directory:
     grid.npz          raw grid (frames, surface, validity) for `diagnose`
     report.json       worst residuals and run summary
 
+The writers work on whole arrays: one stacked stereographic projection per
+mesh and one %-template per row, giving the bytes a per-node loop with
+f"{float(x):.12g}" gives.  Closed-form grids are filled from the scalar
+entries of their formulas (math/cmath, as the public closed forms use) in
+one array pass.  The argument parser is built once per process; every
+`main` call parses afresh.
+
 Exit codes: 0 ok, 2 validation failure (conformality / orientability),
 3 numerical failure, 4 I/O or schema error.
 """
@@ -15,6 +22,7 @@ Exit codes: 0 ok, 2 validation failure (conformality / orientability),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,15 +36,18 @@ from .bjorling import (BjorlingData, MatrixExpr, WeierstrassData,
                        check_conformality, check_orientability,
                        weierstrass_from_bjorling)
 from .catenoids import (DEFAULT_PARAMS, FAMILIES, CatenoidSpec,
-                        catenoid_bjorling_data, catenoid_closed_form,
+                        catenoid_bjorling_data, catenoid_entries,
                         classification_weierstrass, lightlike_circle,
-                        nonrotational_closed_form, nonrotational_extension,
+                        nonrotational_entries, nonrotational_extension,
                         nonrotational_weierstrass_wchart)
+# Closed-form grids are built from the entries; these two names stay here
+# because the benchmark tracer (perfbench/spans.py) patches them in cli.
+from .catenoids import catenoid_closed_form, nonrotational_closed_form  # noqa: F401
 from .diagnostics import chartfree_grid_diagnostics, grid_diagnostics
 from .errors import (DataInconsistencyError, IntegrationError, LightconeError,
                      ParseError, ValidationError)
 from .frame import GridSpec, SurfaceGrid, solve_bjorling
-from .lorentz import mat2, stereographic_project
+from .lorentz import F3, mat2, stereographic_project
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,6 +65,14 @@ DEFAULT_GRIDS = {
 CSV_COLUMNS = ("u", "v", "valid", "phi2", "H", "K", "conformality_defect",
                "lightlike_residual", "gauss_residual", "second_form_imag",
                "det_drift")
+_CSV_ROW = ",".join(["%.12g"] * 2 + ["%d"] + ["%.12g"] * (len(CSV_COLUMNS) - 3))
+
+# Largest node count of one grid (n_u * n_v, or n_utilde * n_v for the
+# extension chart), and of any count.  A grid holds its frames and surface
+# as 2x2 complex matrices (64 B per node each) plus nine float slots, and
+# the frame route integrates every node, so 10^6 nodes already mean 200 MB
+# and minutes of work; a larger count is a typo, rejected before any work.
+MAX_NODES = 10 ** 6
 
 
 class SchemaError(LightconeError):
@@ -101,8 +120,7 @@ def bjorling_from_job(job: dict) -> BjorlingData:
         _require("gamma" in blk and "tangent" in blk and "interval" in blk,
                  "bjorling block needs gamma, tangent and interval")
         interval = _increasing_pair(blk["interval"], "bjorling.interval")
-        samples = blk.get("samples", 33)
-        _require(isinstance(samples, int), "samples must be an integer")
+        samples = _integer(blk.get("samples", 33), "bjorling.samples", 9)
         gamma = _matrix_from_block(blk["gamma"], "gamma")
         tangent = _matrix_from_block(blk["tangent"], "tangent")
         try:
@@ -126,7 +144,7 @@ def catenoid_from_job(job: dict):
         spec = CatenoidSpec(family, _number(param, "catenoid.param"))
     except ValidationError as exc:
         raise SchemaError(str(exc)) from exc
-    return spec, bool(blk.get("flip_tangent_sign", False))
+    return spec, _flag(blk.get("flip_tangent_sign", False), "catenoid.flip_tangent_sign")
 
 
 def grid_from_job(job: dict, fallback=None) -> GridSpec:
@@ -140,9 +158,9 @@ def grid_from_job(job: dict, fallback=None) -> GridSpec:
         _require(key in blk, f"grid block is missing {key!r}")
     u_range = _increasing_pair(blk["u_range"], "grid.u_range")
     v_range = _increasing_pair(blk["v_range"], "grid.v_range")
-    n_u, n_v = blk["n_u"], blk["n_v"]
-    _require(isinstance(n_u, int) and isinstance(n_v, int) and n_u >= 2 and n_v >= 2,
-             "grid.n_u and grid.n_v must be integers >= 2")
+    n_u = _integer(blk["n_u"], "grid.n_u", 2)
+    n_v = _integer(blk["n_v"], "grid.n_v", 2)
+    _node_cap(n_u * n_v, "grid")
     return GridSpec(u_range, v_range, n_u, n_v)
 
 
@@ -158,6 +176,25 @@ def _number(value, name, positive=False) -> float:
     _require(ok, f"{name} must be a finite{' positive' if positive else ''} number, "
                  f"got {value!r}")
     return float(value)
+
+
+def _integer(value, name, lo) -> int:
+    """A JSON integer in [lo, MAX_NODES]; bools (which Python counts as
+    ints), floats, strings and null are schema errors."""
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and lo <= value <= MAX_NODES,
+             f"{name} must be an integer in [{lo}, {MAX_NODES}], got {value!r}")
+    return value
+
+
+def _node_cap(nodes, name):
+    _require(nodes <= MAX_NODES, f"{name} has {nodes} nodes; at most {MAX_NODES} are allowed")
+
+
+def _flag(value, name) -> bool:
+    """A JSON boolean; strings such as "no" would be true under bool()."""
+    _require(isinstance(value, bool), f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _increasing_pair(value, name) -> tuple[float, float]:
@@ -181,57 +218,43 @@ def tolerances_from_job(job: dict, tol_override=None):
 # ---------------------------------------------------------------------------
 # emission
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def write_obj(path: Path, x_grid: np.ndarray, valid: np.ndarray) -> dict:
     """Triangulated stereographic mesh; invalid nodes are dropped and faces
     touching them skipped.  Quads are split counter-clockwise in (u, v)."""
-    n_v, n_u = valid.shape
-    index = {}
-    lines = []
-    for iv in range(n_v):
-        for iu in range(n_u):
-            if not valid[iv, iu]:
-                continue
-            a, b, c = stereographic_project(x_grid[iv, iu])
-            index[(iv, iu)] = len(index) + 1
-            lines.append(f"v {_fmt(a)} {_fmt(b)} {_fmt(c)}")
-    n_faces = 0
-    for iv in range(n_v - 1):
-        for iu in range(n_u - 1):
-            quad = [(iv, iu), (iv, iu + 1), (iv + 1, iu + 1), (iv + 1, iu)]
-            if not all(q in index for q in quad):
-                continue
-            v00, v10, v11, v01 = (index[q] for q in quad)
-            lines.append(f"f {v00} {v10} {v11}")
-            lines.append(f"f {v00} {v11} {v01}")
-            n_faces += 2
+    valid = np.asarray(valid, dtype=bool)
+    # invalid nodes may hold anything; project F3 there, so that an error
+    # names a valid grid node (iv, iu)
+    a, b, c = stereographic_project(np.where(valid[..., None, None], x_grid, F3))
+    lines = ["v %.12g %.12g %.12g" % p
+             for p in zip(a[valid].tolist(), b[valid].tolist(), c[valid].tolist())]
+    n_vertices = len(lines)
+    index = np.zeros(valid.shape, dtype=np.int64)
+    index[valid] = np.arange(1, n_vertices + 1)
+    quad = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
+    corners = (index[:-1, :-1][quad], index[:-1, 1:][quad],
+               index[1:, 1:][quad], index[1:, :-1][quad])
+    lines += ["f %d %d %d\nf %d %d %d" % (v00, v10, v11, v00, v11, v01)
+              for v00, v10, v11, v01 in zip(*(k.tolist() for k in corners))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return {"vertices": len(index), "faces": n_faces}
+    return {"vertices": n_vertices, "faces": 2 * (len(lines) - n_vertices)}
 
 
-def write_polyline_obj(path: Path, points) -> None:
-    lines = [f"v {_fmt(a)} {_fmt(b)} {_fmt(c)}" for (a, b, c) in points]
-    lines.append("l " + " ".join(str(i + 1) for i in range(len(points))))
+def write_polyline_obj(path: Path, x_points: np.ndarray) -> None:
+    """Polyline through the stereographic images of a (n, 2, 2) stack."""
+    a, b, c = stereographic_project(x_points)
+    lines = ["v %.12g %.12g %.12g" % p for p in zip(a.tolist(), b.tolist(), c.tolist())]
+    lines.append("l " + " ".join(str(i + 1) for i in range(len(lines))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_csv(path: Path, grid: SurfaceGrid) -> None:
+    """One row per node in row-major (v, u) order.  '%.12g' % x prints what
+    f"{float(x):.12g}" prints, for NaN, inf and -0.0 too."""
+    u, v = np.meshgrid(np.asarray(grid.u, dtype=float), np.asarray(grid.v, dtype=float))
+    columns = [u, v, np.asarray(grid.valid, dtype=bool)]
+    columns += [np.asarray(getattr(grid, name), dtype=float) for name in CSV_COLUMNS[3:]]
     rows = [",".join(CSV_COLUMNS)]
-    for iv in range(grid.n_v):
-        for iu in range(grid.n_u):
-            rows.append(",".join((
-                _fmt(grid.u[iu]), _fmt(grid.v[iv]),
-                "1" if grid.valid[iv, iu] else "0",
-                _fmt(grid.phi2[iv, iu]), _fmt(grid.H[iv, iu]), _fmt(grid.K[iv, iu]),
-                _fmt(grid.conformality_defect[iv, iu]),
-                _fmt(grid.lightlike_residual[iv, iu]),
-                _fmt(grid.gauss_residual[iv, iu]),
-                _fmt(grid.second_form_imag[iv, iu]),
-                _fmt(grid.det_drift[iv, iu]),
-            )))
+    rows += [_CSV_ROW % row for row in zip(*(col.ravel().tolist() for col in columns))]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -333,13 +356,14 @@ def run_solve(job: dict, out_flag=None, gauge_test=False, renormalize_det=False,
     out = _out_dir(job, out_flag)
     data = bjorling_from_job(job)
     tols = tolerances_from_job(job, tol_override)
+    renorm = _flag(job.get("renormalize_det", False), "renormalize_det") or renormalize_det
+    gauge_test = _flag(job.get("gauge_test", False), "gauge_test") or gauge_test
     conf, orient = _run_checks(data, tols)
     if not conf.passed or orient is None or not orient.passed:
         return EXIT_VALIDATION
     wd = weierstrass_from_bjorling(data)
     fallback = DEFAULT_GRIDS[job["catenoid"]["family"]] if "catenoid" in job else None
     grid_spec = grid_from_job(job, fallback=fallback)
-    renorm = renormalize_det or bool(job.get("renormalize_det", False))
     grid = solve_bjorling(data, grid_spec, wd=wd, renormalize_det=renorm)
     if not np.any(grid.valid):
         print("integration failed on the whole grid")
@@ -348,7 +372,7 @@ def run_solve(job: dict, out_flag=None, gauge_test=False, renormalize_det=False,
     report = {"mode": "solve", "version": __version__,
               "weierstrass": {"G": str(wd.G), "omega": str(wd.omega)},
               "summary": _grid_summary(grid)}
-    if gauge_test or bool(job.get("gauge_test", False)):
+    if gauge_test:
         twisted = solve_bjorling(data, grid_spec, wd=wd, initial_twist=GAUGE_TEST_TWIST,
                                  renormalize_det=renorm)
         both = grid.valid & twisted.valid
@@ -374,7 +398,7 @@ def run_catenoid(job: dict, out_flag=None) -> int:
                           "use check/solve for the flipped field")
     grid_spec = grid_from_job(job, fallback=DEFAULT_GRIDS[spec.family])
     wd = classification_weierstrass(spec)
-    grid = _closed_form_grid(lambda u, v: catenoid_closed_form(spec, u, v), grid_spec, wd)
+    grid = _closed_form_grid(lambda u, v: catenoid_entries(spec, u, v), grid_spec, wd)
     grid_diagnostics(grid)
     mesh = write_obj(out / "surface.obj", grid.X, grid.valid)
     write_csv(out / "diagnostics.csv", grid)
@@ -389,16 +413,19 @@ def run_catenoid(job: dict, out_flag=None) -> int:
     return EXIT_OK
 
 
-def _closed_form_grid(surface, grid_spec: GridSpec, wd) -> SurfaceGrid:
+def _closed_form_grid(entries, grid_spec: GridSpec, wd) -> SurfaceGrid:
+    """Closed-form surface on the grid.  entries(u, v) gives (m11, m12, m22);
+    X holds the bits herm(m11, m12, m22) would give node by node."""
     u_nodes, v_nodes = grid_spec.u_nodes(), grid_spec.v_nodes()
     n_u, n_v = grid_spec.n_u, grid_spec.n_v
-    x_grid = np.empty((n_v, n_u, 2, 2), dtype=complex)
-    for iv, v in enumerate(v_nodes):
-        for iu, u in enumerate(u_nodes):
-            x_grid[iv, iu] = surface(float(u), float(v))
+    x_flat = np.empty((n_v * n_u, 2, 2), dtype=complex)
+    x_flat[:, 0, 0], x_flat[:, 0, 1], x_flat[:, 1, 1] = zip(
+        *[entries(u, v) for v in v_nodes.tolist() for u in u_nodes.tolist()])
+    x_flat[:, 1, 0] = np.conj(x_flat[:, 0, 1])
     return SurfaceGrid(u=u_nodes, v=v_nodes,
                        F=np.full((n_v, n_u, 2, 2), np.nan, dtype=complex),
-                       X=x_grid, valid=np.ones((n_v, n_u), dtype=bool),
+                       X=x_flat.reshape(n_v, n_u, 2, 2),
+                       valid=np.ones((n_v, n_u), dtype=bool),
                        det_drift=np.full((n_v, n_u), np.nan), wd=wd)
 
 
@@ -433,10 +460,11 @@ def run_extend(job: dict, out_flag=None) -> int:
     base_grid_spec = grid_from_job(
         job, fallback=((math.log(0.5), math.log(2.0)), (0.0, 2.0 * math.pi), 33, 33))
     ut_range = _increasing_pair(blk.get("utilde_range", [-1.5, 1.5]), "extend.utilde_range")
-    n_ut = int(blk.get("n_utilde", 31))
+    n_ut = _integer(blk.get("n_utilde", 31), "extend.n_utilde", 2)
+    _node_cap(n_ut * base_grid_spec.n_v, "extension grid")
 
     wd = nonrotational_weierstrass_wchart(c)
-    base = _closed_form_grid(lambda u, v: nonrotational_closed_form(c, u, v),
+    base = _closed_form_grid(lambda u, v: nonrotational_entries(c, u, v),
                              base_grid_spec, wd)
     grid_diagnostics(base)
     mesh_base = write_obj(out / "base_chart.obj", base.X, base.valid)
@@ -450,9 +478,8 @@ def run_extend(job: dict, out_flag=None) -> int:
     write_csv(out / "extension_chart.csv", ext)
     save_grid(out / "extension_chart_grid.npz", ext, "extend-extension", {"param": c})
 
-    circle_pts = [stereographic_project(lightlike_circle(c, float(v)))
-                  for v in base_grid_spec.v_nodes()]
-    write_polyline_obj(out / "lightlike_circle.obj", circle_pts)
+    circle = np.array([lightlike_circle(c, v) for v in base_grid_spec.v_nodes().tolist()])
+    write_polyline_obj(out / "lightlike_circle.obj", circle)
 
     write_report(out / "report.json", {
         "mode": "extend", "version": __version__, "param": c,
@@ -466,6 +493,7 @@ def run_extend(job: dict, out_flag=None) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lightcone",

@@ -51,19 +51,37 @@ F3 = mat2(1, 0, 0, 0)      # (1/2, 0, 0, 1/2)
 E3 = mat2(1, 0, 0, -1)     # (0, 0, 0, 1), the z-direction unit vector
 
 
-def _herm_scale(m: np.ndarray) -> float:
-    return 1.0 + float(np.max(np.abs(m)))
+def _first(bad: np.ndarray):
+    """Index of the first True node of a mask, or None; () for one point."""
+    if not np.any(bad):
+        return None
+    return np.unravel_index(np.argmax(bad), bad.shape)
+
+
+def _at(idx: tuple) -> str:
+    return f" at node {tuple(int(i) for i in idx)}" if idx else ""
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> None:
-    """Raise ValidationError naming the violating entry if m is not Hermitian."""
-    scale = _herm_scale(m)
-    if abs(m[0, 0].imag) > tol * scale:
-        raise ValidationError(f"entry m11 = {m[0, 0]} is not real")
-    if abs(m[1, 1].imag) > tol * scale:
-        raise ValidationError(f"entry m22 = {m[1, 1]} is not real")
-    if abs(m[1, 0] - np.conj(m[0, 1])) > tol * scale:
-        raise ValidationError(f"entry m21 = {m[1, 0]} is not the conjugate of m12 = {m[0, 1]}")
+    """Raise ValidationError naming the violating entry if m is not Hermitian.
+
+    A (..., 2, 2) stack is checked node by node; the error names the first
+    node that fails (in C order) and its first violating entry.
+    """
+    bound = tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))
+    m11_bad = np.abs(m[..., 0, 0].imag) > bound
+    m22_bad = np.abs(m[..., 1, 1].imag) > bound
+    m21_bad = np.abs(m[..., 1, 0] - np.conj(m[..., 0, 1])) > bound
+    idx = _first(m11_bad | m22_bad | m21_bad)
+    if idx is None:
+        return
+    node, where = m[idx], _at(idx)
+    if m11_bad[idx]:
+        raise ValidationError(f"entry m11 = {node[0, 0]} is not real{where}")
+    if m22_bad[idx]:
+        raise ValidationError(f"entry m22 = {node[1, 1]} is not real{where}")
+    raise ValidationError(f"entry m21 = {node[1, 0]} is not the conjugate of "
+                          f"m12 = {node[0, 1]}{where}")
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -82,10 +100,14 @@ def vec_to_herm(v: Vec4) -> np.ndarray:
 
 
 def herm_to_vec(m: np.ndarray, tol: float = HERM_TOL) -> Vec4:
+    """(t, x, y, z) of a Hermitian matrix; for a (..., 2, 2) stack, a Vec4
+    of arrays with the same bits node by node."""
     require_hermitian(m, tol)
-    t = 0.5 * (m[0, 0].real + m[1, 1].real)
-    z = 0.5 * (m[0, 0].real - m[1, 1].real)
-    return Vec4(t, m[0, 1].real, m[0, 1].imag, z)
+    # [()] turns the 0-d entries of one point into numpy scalars
+    m11, m22, m12 = m[..., 0, 0][()], m[..., 1, 1][()], m[..., 0, 1][()]
+    t = 0.5 * (m11.real + m22.real)
+    z = 0.5 * (m11.real - m22.real)
+    return Vec4(t, m12.real, m12.imag, z)
 
 
 def det2(m: np.ndarray) -> complex:
@@ -151,10 +173,15 @@ def frame_from_point(x: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.ndarray:
 
 
 def stereographic_project(x: np.ndarray) -> tuple[float, float, float]:
-    """(x/(1+t), y/(1+t), z/(1+t)); maps Q3+ into the punctured open unit ball."""
+    """(x/(1+t), y/(1+t), z/(1+t)); maps Q3+ into the punctured open unit ball.
+
+    A (..., 2, 2) stack gives three arrays with the bits of per-node calls;
+    the error names the first node with t <= -1.
+    """
     v = herm_to_vec(x)
-    if v.t <= -1.0:
-        raise DomainError(f"stereographic projection undefined at t = {v.t}")
+    idx = _first(v.t <= -1.0)
+    if idx is not None:
+        raise DomainError(f"stereographic projection undefined at t = {v.t[idx]}{_at(idx)}")
     s = 1.0 / (1.0 + v.t)
     return (v.x * s, v.y * s, v.z * s)
 

@@ -347,3 +347,94 @@ def test_extend_utilde_range_must_be_finite(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_IO
     _assert_one_line_schema_error(capsys, "extend.utilde_range")
+
+
+_NOT_INTEGER = [True, False, 5.0, "5", "x", None, [5]]
+_CATENOID_SOLVE = {"catenoid": {"family": "parabolic", "param": 0.5},
+                   "grid": {"u_range": [0.5, 2.0], "v_range": [-0.5, 0.5], "n_u": 5, "n_v": 3}}
+
+
+@pytest.mark.parametrize("key", ["n_u", "n_v"])
+@pytest.mark.parametrize("bad", _NOT_INTEGER + [1, cli.MAX_NODES + 1])
+def test_grid_counts_must_be_bounded_integers(tmp_path, capsys, key, bad):
+    job = json.loads(json.dumps(_CATENOID_SOLVE))
+    job["grid"][key] = bad
+    rc = cli.main(["solve", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, f"grid.{key}")
+
+
+def test_grid_node_count_is_capped(tmp_path, capsys):
+    # each count is in range; the product is not, and nothing is allocated
+    job = {"catenoid": {"family": "elliptic", "param": 1.5},
+           "grid": {"u_range": [0.0, 1.0], "v_range": [-1.0, 1.0],
+                    "n_u": cli.MAX_NODES, "n_v": 2}}
+    rc = cli.main(["catenoid", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, f"at most {cli.MAX_NODES}")
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGER + [5, cli.MAX_NODES + 1])
+def test_bjorling_samples_must_be_a_bounded_integer(tmp_path, capsys, bad):
+    job = json.loads(json.dumps(REJECTED_PARABOLIC))
+    job["bjorling"]["samples"] = bad
+    assert cli.main(["check", "--input", _write_job(tmp_path / "job.json", job)]) \
+        == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "bjorling.samples")
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGER + [1, cli.MAX_NODES + 1])
+def test_extend_n_utilde_must_be_a_bounded_integer(tmp_path, capsys, bad):
+    job = {"extend": {"param": 0.5, "n_utilde": bad}}
+    rc = cli.main(["extend", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "extend.n_utilde")
+
+
+def test_extension_node_count_is_capped(tmp_path, capsys):
+    # n_utilde times the 33 default v nodes exceeds the cap
+    job = {"extend": {"param": 0.5, "n_utilde": cli.MAX_NODES // 32}}
+    rc = cli.main(["extend", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "extension grid")
+
+
+_NOT_BOOL = ["no", "false", 0, 1, None, [True]]
+
+
+@pytest.mark.parametrize("key", ["renormalize_det", "gauge_test"])
+@pytest.mark.parametrize("bad", _NOT_BOOL)
+def test_solve_flags_must_be_booleans(tmp_path, capsys, key, bad):
+    job = dict(_CATENOID_SOLVE, **{key: bad})
+    rc = cli.main(["solve", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, key)
+
+
+@pytest.mark.parametrize("mode", ["check", "solve", "catenoid"])
+@pytest.mark.parametrize("bad", _NOT_BOOL)
+def test_flip_tangent_sign_must_be_a_boolean(tmp_path, capsys, mode, bad):
+    job = json.loads(json.dumps(_CATENOID_SOLVE))
+    job["catenoid"]["flip_tangent_sign"] = bad
+    argv = [mode, "--input", _write_job(tmp_path / "job.json", job)]
+    if mode != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "catenoid.flip_tangent_sign")
+
+
+def test_boolean_fields_still_take_booleans(tmp_path):
+    job = json.loads(json.dumps(_CATENOID_SOLVE))
+    job["catenoid"]["flip_tangent_sign"] = True
+    assert cli.main(["check", "--input", _write_job(tmp_path / "flip.json", job)]) \
+        == cli.EXIT_VALIDATION
+    job = dict(_CATENOID_SOLVE, renormalize_det=False, gauge_test=True)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--input", _write_job(tmp_path / "job.json", job),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert "gauge_test_max_deviation" in json.loads((out / "report.json").read_text())

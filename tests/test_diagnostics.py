@@ -213,9 +213,10 @@ def test_grid_node_on_a_pole_of_the_data_stays_valid_with_nan_slots():
     wd = bj.WeierstrassData.from_strings("u", f"{(1 - nu * nu) / 4!r}/u^2")
     def surface(u, v):
         if u == 0.0 and v == 0.0:
-            return lz.F3.copy()
+            return 1.0, 0j, 0.0  # F3
         f = ct.power_type_frame(nu, complex(u, v))
-        return lz.hermitize(f @ lz.F3 @ f.conj().T)
+        x = lz.hermitize(f @ lz.F3 @ f.conj().T)
+        return x[0, 0].real, x[0, 1], x[1, 1].real
 
     grid = dg.grid_diagnostics(
         cli._closed_form_grid(surface, fr.GridSpec((0.0, 1.0), (-0.5, 0.5), 5, 5), wd))
@@ -235,7 +236,7 @@ def test_grid_node_on_a_pole_of_the_data_stays_valid_with_nan_slots():
 def test_degenerate_metric_node_keeps_nan_curvatures(elliptic_wd):
     # lambda X is a light-cone point with the same M; scaling one node by
     # 1e-7 takes phi^2 below the floor while the tangent plane keeps rank 3
-    grid = cli._closed_form_grid(lambda u, v: ct.catenoid_closed_form(SPEC, u, v),
+    grid = cli._closed_form_grid(lambda u, v: ct.catenoid_entries(SPEC, u, v),
                                  fr.GridSpec((0.0, 2 * np.pi), (-0.5, 0.5), 7, 3), elliptic_wd)
     node = (1, 3)
     grid.X[node] *= 1e-7

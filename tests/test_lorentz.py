@@ -122,6 +122,86 @@ def test_stereographic_projection():
             pytest.approx((0.0, 0.0, 0.0))
 
 
+_entries = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hermitian_stacks(draw):
+    """(n_v, n_u, 2, 2) Hermitian stacks with t > -1 at every node; entries
+    span the whole finite range, signed zeros and subnormals included."""
+    n_v, n_u = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stack = np.empty((n_v, n_u, 2, 2), dtype=complex)
+    for iv in range(n_v):
+        for iu in range(n_u):
+            m11, m22, re, im = (draw(_entries) for _ in range(4))
+            assume(0.5 * (m11 + m22) > -1.0)
+            stack[iv, iu] = lz.herm(m11, complex(re, im), m22)
+    return stack
+
+
+@given(_hermitian_stacks())
+def test_stacked_projection_matches_per_point_calls_bitwise(stack):
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit
+        _check_stack_against_points(stack)
+
+
+def _check_stack_against_points(stack):
+    got = lz.stereographic_project(stack)
+    n_v, n_u = stack.shape[:2]
+    want = [[lz.stereographic_project(stack[iv, iu]) for iu in range(n_u)]
+            for iv in range(n_v)]
+    for k in range(3):
+        assert got[k].shape == (n_v, n_u)
+        per_point = np.array([[p[k] for p in row] for row in want])
+        assert got[k].tobytes() == per_point.tobytes()
+    # and the operations are the documented ones, in Python floats
+    for iv in range(n_v):
+        for iu in range(n_u):
+            m = stack[iv, iu]
+            s = 1.0 / (1.0 + 0.5 * (float(m[0, 0].real) + float(m[1, 1].real)))
+            z = 0.5 * (float(m[0, 0].real) - float(m[1, 1].real))
+            want_xyz = (float(m[0, 1].real) * s, float(m[0, 1].imag) * s, z * s)
+            assert np.array(want[iv][iu]).tobytes() == np.array(want_xyz).tobytes()
+    vec = lz.herm_to_vec(stack)
+    for k in range(4):
+        per_point = np.array([[lz.herm_to_vec(stack[iv, iu])[k] for iu in range(n_u)]
+                              for iv in range(n_v)])
+        assert vec[k].tobytes() == per_point.tobytes()
+
+
+def test_one_point_keeps_its_scalar_results_and_messages():
+    a, b, c = lz.stereographic_project(lz.F3)
+    assert all(type(x) is np.float64 for x in (a, b, c))
+    assert all(type(x) is np.float64 for x in lz.herm_to_vec(lz.F1))
+    with pytest.raises(ValidationError) as exc:
+        lz.require_hermitian(lz.mat2(1 + 1j, 0, 0, 1))
+    assert str(exc.value) == "entry m11 = (1+1j) is not real"
+    with pytest.raises(ValidationError) as exc:
+        lz.require_hermitian(lz.mat2(1, 1j, 1j, 1))
+    assert str(exc.value) == "entry m21 = 1j is not the conjugate of m12 = 1j"
+    with pytest.raises(DomainError) as exc:
+        lz.stereographic_project(lz.vec_to_herm(lz.Vec4(-2.0, 0, 0, 0)))
+    assert str(exc.value) == "stereographic projection undefined at t = -2.0"
+
+
+def test_stack_errors_name_the_first_failing_node():
+    stack = np.broadcast_to(lz.F3, (3, 4, 2, 2)).copy()
+    stack[2, 0] = lz.mat2(1, 0, 0, 1 + 2j)
+    stack[1, 3] = lz.mat2(1, 1j, 1j, 1)
+    with pytest.raises(ValidationError) as exc:
+        lz.require_hermitian(stack)
+    assert str(exc.value) == "entry m21 = 1j is not the conjugate of m12 = 1j at node (1, 3)"
+    stack[1, 3] = lz.F3
+    with pytest.raises(ValidationError, match=r"entry m22 = \(1\+2j\) is not real at node \(2, 0\)"):
+        lz.stereographic_project(stack)
+    stack[2, 0] = lz.F3
+    stack[0, 2] = lz.vec_to_herm(lz.Vec4(-1.0, 0, 0, 0))
+    with pytest.raises(DomainError,
+                       match=r"undefined at t = -1.0 at node \(0, 2\)"):
+        lz.stereographic_project(stack)
+    lz.require_hermitian(stack[None])  # a t <= -1 point is still Hermitian
+
+
 def test_stereographic_image_in_unit_ball():
     rng = np.random.default_rng(11)
     for _ in range(100):
