@@ -32,7 +32,7 @@ from .lorentz import minkowski_inner, signed_area_sign
 __all__ = [
     "MatrixExpr", "BjorlingData", "WeierstrassData",
     "ConformalityReport", "OrientabilityReport",
-    "chebyshev_nodes", "lambda_of", "lambda_expr",
+    "chebyshev_nodes", "lambda_expr",
     "check_conformality", "check_orientability", "weierstrass_from_bjorling",
     "CONFORMALITY_TOL", "ORIENTABILITY_FLOOR",
 ]
@@ -43,7 +43,8 @@ ORIENTABILITY_FLOOR = 1e-7  # |D1| must exceed floor * (1 + |gamma'|)
 
 @dataclass(frozen=True)
 class MatrixExpr:
-    """2x2 matrix of expressions; evaluation gives a complex numpy matrix."""
+    """2x2 matrix of expressions; evaluation gives a complex numpy matrix.
+    The entries are compiled, and the derivative is built, once per instance."""
 
     m11: ex.ExprAST
     m12: ex.ExprAST
@@ -54,13 +55,20 @@ class MatrixExpr:
     def from_strings(cls, m11: str, m12: str, m21: str, m22: str) -> "MatrixExpr":
         return cls(ex.parse(m11), ex.parse(m12), ex.parse(m21), ex.parse(m22))
 
+    @cached_property
+    def _entries_fn(self):
+        return ex.compile_checked(self.entries())
+
+    @cached_property
+    def _derivative(self) -> "MatrixExpr":
+        return MatrixExpr(*(ex.diff(e) for e in self.entries()))
+
     def eval(self, w: complex) -> np.ndarray:
-        return np.array([[self.m11.eval(w), self.m12.eval(w)],
-                         [self.m21.eval(w), self.m22.eval(w)]], dtype=complex)
+        """The matrix at w; a pole raises EvalError."""
+        return np.array(self._entries_fn(w), dtype=complex).reshape(2, 2)
 
     def diff(self) -> "MatrixExpr":
-        return MatrixExpr(ex.diff(self.m11), ex.diff(self.m12),
-                          ex.diff(self.m21), ex.diff(self.m22))
+        return self._derivative
 
     def entries(self):
         return (self.m11, self.m12, self.m21, self.m22)
@@ -105,10 +113,6 @@ def lambda_expr(data: BjorlingData) -> MatrixExpr:
     for dg, l in zip(data.gamma.diff().entries(), data.tangent.entries()):
         out.append(ex.mul(half, ex.sub(dg, ex.mul(i_const, l))))
     return MatrixExpr(*out)
-
-
-def lambda_of(data: BjorlingData, w: complex) -> np.ndarray:
-    return 0.5 * (data.gamma.diff().eval(w) - 1j * data.tangent.eval(w))
 
 
 @dataclass
@@ -196,17 +200,17 @@ def check_orientability(data: BjorlingData, tol: float = ORIENTABILITY_FLOOR) ->
     signs = np.zeros(n, dtype=int)
     failures: list[str] = []
     for k, u in enumerate(nodes):
-        g = data.gamma.eval(u)
-        lam = lambda_of(data, u)
+        g, dg, l = data.gamma.eval(u), dgamma.eval(u), data.tangent.eval(u)
+        lam = 0.5 * (dg - 1j * l)
         d1[k] = g[0, 0] * lam[1, 0] - g[1, 0] * lam[0, 0]
-        speed = cmath.sqrt(minkowski_inner(dgamma.eval(u), dgamma.eval(u))).real
+        speed = cmath.sqrt(minkowski_inner(dg, dg)).real
         floor[k] = tol * (1.0 + speed)
         if abs(d1[k]) <= floor[k]:
             failures.append(f"extraction denominator vanishes at u = {u:.6g} "
                             f"(|D1| = {abs(d1[k]):.3e})")
             signs[k] = 0
             continue
-        signs[k] = signed_area_sign(g, dgamma.eval(u), data.tangent.eval(u))
+        signs[k] = signed_area_sign(g, dg, l)
         if signs[k] != -1:
             failures.append(f"signed area of (gamma', L) is positive at u = {u:.6g}")
     return OrientabilityReport(not failures, nodes, d1, floor, signs, failures)
@@ -222,11 +226,8 @@ class WeierstrassData:
 
     @cached_property
     def G_fn(self):
+        """w -> G(w).  Kept under this name: perfbench's tracer patches it."""
         return ex.compile_ast(self.G)
-
-    @cached_property
-    def omega_fn(self):
-        return ex.compile_ast(self.omega)
 
     @cached_property
     def coef_fn(self):
@@ -272,6 +273,9 @@ def weierstrass_from_bjorling(data: BjorlingData) -> WeierstrassData:
     om2 = ex.div(ex.mul(lam.m22, lam.m22),
                  ex.sub(ex.mul(lam.m22, g.m12), ex.mul(lam.m12, g.m22)))
 
+    route1 = ex.compile_checked((g1, om1))
+    route2 = ex.compile_checked((g2, om2))
+
     nodes = data.nodes()
     worst = {"route agreement": (nodes[0], 0.0), "structural identity": (nodes[0], 0.0)}
     for u in nodes:
@@ -288,8 +292,8 @@ def weierstrass_from_bjorling(data: BjorlingData) -> WeierstrassData:
             worst["structural identity"] = (u, structural)
         if abs(lam_v[1, 0]) > 1e-12 * (1.0 + lam_scale) and \
            abs(lam_v[1, 1]) > 1e-12 * (1.0 + lam_scale):
-            routes = max(_relative_gap(g1.eval(u), g2.eval(u)),
-                         _relative_gap(om1.eval(u), om2.eval(u)))
+            (g1_v, om1_v), (g2_v, om2_v) = route1(u), route2(u)
+            routes = max(_relative_gap(g1_v, g2_v), _relative_gap(om1_v, om2_v))
             if routes > worst["route agreement"][1]:
                 worst["route agreement"] = (u, routes)
     for label, tol in (("structural identity", 1e-10), ("route agreement", 1e-9)):
@@ -301,12 +305,12 @@ def weierstrass_from_bjorling(data: BjorlingData) -> WeierstrassData:
     mid = 0.5 * (data.interval[0] + data.interval[1])
     lam_mid = lam.eval(mid)
     if abs(lam_mid[1, 1]) > abs(lam_mid[1, 0]):
-        wd = WeierstrassData(g2, om2, chart="u")
+        wd, extracted = WeierstrassData(g2, om2, chart="u"), route2
     else:
-        wd = WeierstrassData(g1, om1, chart="u")
+        wd, extracted = WeierstrassData(g1, om1, chart="u"), route1
     for u in nodes:  # the returned expressions must be finite on the seam
         try:
-            g_val, om_val = wd.G.eval(u), wd.omega.eval(u)
+            g_val, om_val = extracted(u)
         except EvalError as exc:
             raise DataInconsistencyError(f"extracted data has a pole ({exc})",
                                          float(u), math.inf) from exc

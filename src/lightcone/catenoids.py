@@ -36,7 +36,7 @@ __all__ = [
     "rotation", "circle", "catenoid_bjorling_data", "catenoid_entries",
     "catenoid_closed_form", "classification_weierstrass", "power_type_frame",
     "polynomial_type_frame", "nonrotational_entries", "nonrotational_closed_form",
-    "nonrotational_extension", "nonrotational_example", "nonrotational_bjorling_data",
+    "nonrotational_extension", "nonrotational_bjorling_data",
     "nonrotational_weierstrass_wchart", "lightlike_circle",
 ]
 
@@ -222,16 +222,6 @@ def nonrotational_extension(c: float, ut: float, v: float) -> np.ndarray:
         raise ValidationError("parameter c must be nonzero")
     s = math.exp(c * v)
     return herm(s * ut * ut, s * cmath.exp(1j * v) * ut, s)
-
-
-def nonrotational_example(c: float, u: float, v: float):
-    """Both charts at the same numeric arguments: (X(u, v), X~(u, v)).
-
-    The first component reads the first argument as the base-chart u, the
-    second as the extension-chart variable (where the initial curve sits at
-    e^u, and 0 is the lightlike circle).
-    """
-    return nonrotational_closed_form(c, u, v), nonrotational_extension(c, u, v)
 
 
 def lightlike_circle(c: float, v: float) -> np.ndarray:

@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -272,17 +273,42 @@ def save_grid(path: Path, grid: SurfaceGrid, kind: str, meta: dict) -> None:
 
 
 def load_grid(path: Path):
+    """(grid, kind, meta) from a grid.npz.  Every array must have the shape
+    and kind of dtype save_grid writes, meta_json must hold a JSON object,
+    and the extend kinds must carry a finite param; anything else is a
+    SchemaError."""
     try:
-        raw = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+        npz = np.load(path, allow_pickle=False)
+        _require(isinstance(npz, np.lib.npyio.NpzFile), f"grid file {path} is not an .npz archive")
+        with npz:
+            raw = dict(npz.items())
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise SchemaError(f"cannot read grid file {path}: {exc}") from exc
     for key in ("kind", "u", "v", "F", "X", "valid", "det_drift", "meta_json"):
         _require(key in raw, f"grid file is missing array {key!r}")
-    grid = SurfaceGrid(u=raw["u"], v=raw["v"], F=raw["F"], X=raw["X"],
+    u, v = raw["u"], raw["v"]
+    _require(u.ndim == 1 and v.ndim == 1, "grid file: u and v must be 1-d arrays")
+    nodes = (len(v), len(u))
+    for key, shape, dtype in (("u", u.shape, float), ("v", v.shape, float),
+                              ("F", nodes + (2, 2), complex), ("X", nodes + (2, 2), complex),
+                              ("valid", nodes, bool), ("det_drift", nodes, float)):
+        arr = raw[key]
+        _require(arr.shape == shape and np.can_cast(arr.dtype, dtype, "same_kind"),
+                 f"grid file: {key} is {arr.dtype} of shape {arr.shape}, "
+                 f"expected {np.dtype(dtype)} of shape {shape}")
+    kind = str(raw["kind"])
+    try:
+        meta = json.loads(str(raw["meta_json"]))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"grid file: meta_json is not JSON: {exc}") from exc
+    _require(isinstance(meta, dict), "grid file: meta_json must be a JSON object")
+    if kind.startswith("extend-"):
+        _number(meta.get("param"), "grid file: meta param")
+    grid = SurfaceGrid(u=u, v=v, F=raw["F"], X=raw["X"],
                        valid=raw["valid"], det_drift=raw["det_drift"])
     if "G_str" in raw and "omega_str" in raw:
         grid.wd = WeierstrassData.from_strings(str(raw["G_str"]), str(raw["omega_str"]))
-    return grid, str(raw["kind"]), json.loads(str(raw["meta_json"]))
+    return grid, kind, meta
 
 
 def _grid_summary(grid: SurfaceGrid) -> dict:
@@ -346,6 +372,7 @@ def _out_dir(job: dict, out_flag) -> Path:
     out = out_flag or job.get("out")
     if not out:
         raise SchemaError("no output directory (use --out or the 'out' field)")
+    _require(isinstance(out, str), f"out must be a directory name, got {out!r}")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -362,7 +389,8 @@ def run_solve(job: dict, out_flag=None, gauge_test=False, renormalize_det=False,
     if not conf.passed or orient is None or not orient.passed:
         return EXIT_VALIDATION
     wd = weierstrass_from_bjorling(data)
-    fallback = DEFAULT_GRIDS[job["catenoid"]["family"]] if "catenoid" in job else None
+    # the catenoid block names the default grid, even beside a bjorling block
+    fallback = DEFAULT_GRIDS[catenoid_from_job(job)[0].family] if "catenoid" in job else None
     grid_spec = grid_from_job(job, fallback=fallback)
     grid = solve_bjorling(data, grid_spec, wd=wd, renormalize_det=renorm)
     if not np.any(grid.valid):
@@ -553,13 +581,15 @@ def _job_for(args) -> dict:
     if getattr(args, "grid", None):
         job["grid"] = _parse_grid_flag(args.grid)
     if args.mode == "catenoid" and args.family is not None:
-        job.setdefault("catenoid", {})
-        job["catenoid"]["family"] = args.family
+        blk = job.setdefault("catenoid", {})
+        _require(isinstance(blk, dict), "catenoid block must be an object")
+        blk["family"] = args.family
         if args.param is not None:
-            job["catenoid"]["param"] = args.param
+            blk["param"] = args.param
     if args.mode == "extend" and args.param is not None:
-        job.setdefault("extend", {})
-        job["extend"]["param"] = args.param
+        blk = job.setdefault("extend", {})
+        _require(isinstance(blk, dict), "extend block must be an object")
+        blk["param"] = args.param
     return job
 
 

@@ -31,7 +31,7 @@ from .frame import SurfaceGrid, integrate_frame
 from .lorentz import F3, adjoint, hermitize, minkowski_inner
 
 __all__ = [
-    "PointDiagnostics", "surface_derivatives", "tangent_vectors", "gauss_map",
+    "PointDiagnostics", "surface_derivatives", "gauss_map",
     "gauss_residuals", "second_fundamental", "curvatures", "point_diagnostics",
     "local_surface_sampler", "grid_diagnostics", "chartfree_grid_diagnostics",
     "mean_curvature_fd",
@@ -78,11 +78,6 @@ def surface_derivatives(wd: WeierstrassData, x: np.ndarray, w):
             raise IntegrationError("coefficient matrix or its derivative is not finite", w)
         return derivs
     return derivs + (ok,)
-
-
-def tangent_vectors(wd: WeierstrassData, x: np.ndarray, w: complex):
-    """Exact (Xu, Xv) at a surface point from X_z = M(w) X."""
-    return surface_derivatives(wd, x, w)[:2]
 
 
 def gauss_map(x: np.ndarray, xu: np.ndarray, xv: np.ndarray):

@@ -16,11 +16,21 @@ The grammar, low to high precedence:
 Numbers are decimal with optional exponent.  `^` exponents must be constant
 subexpressions.  The only simplification performed anywhere is constant
 folding; derivative trees are left as produced by the rules.
+
+Nodes are plain data: frozen dataclasses without methods, whose `constant`
+flag is set once at construction from the children's flags.  One walker,
+post-order with an explicit stack and memoised by node identity, serves the
+derivative, the printer and the compiler, so a tree of any depth is walked
+without recursion and a shared subtree once.  There is one evaluator, the
+compiler: it emits straight-line code from the operation table `_OPS` and
+`_FUNCS`, and constant folding applies the same table to `Const` children.
+Native errors at poles become EvalError in one place, `compile_checked`.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -28,25 +38,9 @@ from .errors import EvalError, ParseError
 
 __all__ = [
     "ExprAST", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "parse", "diff", "to_string", "compile_ast",
+    "parse", "diff", "to_string", "compile_ast", "compile_checked",
     "const", "var", "add", "sub", "mul", "div", "neg", "pow_", "call",
 ]
-
-FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh")
-
-_FUNC_EVAL = {
-    "exp": cmath.exp,
-    "sqrt": cmath.sqrt,
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-}
-
-
-def _clog(z: complex) -> complex:
-    # principal branch, argument in (-pi, pi]; cmath raises ValueError at 0
-    return cmath.log(z)
 
 
 def _cpow(b: complex, c: complex) -> complex:
@@ -80,15 +74,18 @@ def _ipow(b: complex, n: int) -> complex:
 
 
 class ExprAST:
-    """Base node.  Subclasses are immutable and hashable."""
+    """Base node.  Subclasses are immutable, hashable data.
 
-    __slots__ = ()
+    `constant` is set once, at construction, from the children's flags; it
+    is no constructor argument and takes no part in == or hashing.
+    """
 
-    def eval(self, w: complex) -> complex:
-        raise NotImplementedError
+    __slots__ = ("constant",)
 
-    def is_constant(self) -> bool:
-        raise NotImplementedError
+    def __post_init__(self):
+        kids = _children(self)
+        object.__setattr__(self, "constant", all([kid.constant for kid in kids])
+                           if kids else not isinstance(self, Var))
 
     def __str__(self) -> str:
         return to_string(self)
@@ -98,31 +95,15 @@ class ExprAST:
 class Const(ExprAST):
     value: complex
 
-    def eval(self, w):
-        return self.value
-
-    def is_constant(self):
-        return True
-
 
 @dataclass(frozen=True, slots=True)
 class Var(ExprAST):
-    def eval(self, w):
-        return complex(w)
-
-    def is_constant(self):
-        return False
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class Neg(ExprAST):
     a: ExprAST
-
-    def eval(self, w):
-        return -self.a.eval(w)
-
-    def is_constant(self):
-        return self.a.is_constant()
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,23 +111,11 @@ class Add(ExprAST):
     a: ExprAST
     b: ExprAST
 
-    def eval(self, w):
-        return self.a.eval(w) + self.b.eval(w)
-
-    def is_constant(self):
-        return self.a.is_constant() and self.b.is_constant()
-
 
 @dataclass(frozen=True, slots=True)
 class Sub(ExprAST):
     a: ExprAST
     b: ExprAST
-
-    def eval(self, w):
-        return self.a.eval(w) - self.b.eval(w)
-
-    def is_constant(self):
-        return self.a.is_constant() and self.b.is_constant()
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,26 +123,11 @@ class Mul(ExprAST):
     a: ExprAST
     b: ExprAST
 
-    def eval(self, w):
-        return self.a.eval(w) * self.b.eval(w)
-
-    def is_constant(self):
-        return self.a.is_constant() and self.b.is_constant()
-
 
 @dataclass(frozen=True, slots=True)
 class Div(ExprAST):
     a: ExprAST
     b: ExprAST
-
-    def eval(self, w):
-        den = self.b.eval(w)
-        if den == 0:
-            raise EvalError("division by zero", w)
-        return self.a.eval(w) / den
-
-    def is_constant(self):
-        return self.a.is_constant() and self.b.is_constant()
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,17 +136,9 @@ class Pow(ExprAST):
     exponent: ExprAST  # constant by construction
 
     def __post_init__(self):
-        if not self.exponent.is_constant():
+        if not self.exponent.constant:
             raise ValueError("power exponent must be a constant expression")
-
-    def eval(self, w):
-        try:
-            return _cpow(self.base.eval(w), self.exponent.eval(w))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvalError(str(exc), w) from exc
-
-    def is_constant(self):
-        return self.base.is_constant()
+        ExprAST.__post_init__(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,17 +146,43 @@ class Call(ExprAST):
     name: str
     arg: ExprAST
 
-    def eval(self, w):
-        z = self.arg.eval(w)
-        try:
-            if self.name == "log":
-                return _clog(z)
-            return _FUNC_EVAL[self.name](z)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{self.name}: {exc}", w) from exc
 
-    def is_constant(self):
-        return self.arg.is_constant()
+def _children(e: ExprAST) -> tuple:
+    kind = type(e)
+    if kind in (Add, Sub, Mul, Div):
+        return (e.a, e.b)
+    if kind is Const or kind is Var:
+        return ()
+    if kind is Neg:
+        return (e.a,)
+    if kind is Call:
+        return (e.arg,)
+    if kind is Pow:
+        return (e.base, e.exponent)
+    raise TypeError(f"not an expression node: {kind.__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the operation table: the compiler emits the source form, constant folding
+# applies the function, and the two run the same floating-point operation
+
+_OPS = {
+    Neg: ("-{0}", operator.neg),
+    Add: ("{0} + {1}", operator.add),
+    Sub: ("{0} - {1}", operator.sub),
+    Mul: ("{0} * {1}", operator.mul),
+    Div: ("{0} / {1}", operator.truediv),
+    Pow: ("_cpow({0}, {1})", _cpow),
+}
+
+# Call nodes, bound by these names in the compiled code; log is the principal
+# branch, argument in (-pi, pi], and raises ValueError at 0
+_FUNCS = {
+    "exp": cmath.exp, "log": cmath.log, "sqrt": cmath.sqrt,
+    "sin": cmath.sin, "cos": cmath.cos, "sinh": cmath.sinh, "cosh": cmath.cosh,
+}
+
+FUNCTIONS = tuple(_FUNCS)
 
 
 # ---------------------------------------------------------------------------
@@ -224,26 +196,25 @@ def var() -> Var:
     return Var()
 
 
-def _fold1(node, a):
-    if a.is_constant():
-        try:
-            return Const(node.eval(0j))
-        except EvalError:
-            return node
-    return node
+def _fold(node):
+    """The node, or the Const its operation gives when every child is a Const.
 
-
-def _fold2(node, a, b):
-    if a.is_constant() and b.is_constant():
-        try:
-            return Const(node.eval(0j))
-        except EvalError:
-            return node
-    return node
+    A constant child that is not a Const is a pole whose own fold failed, so
+    the node's would fail too.  A failing fold keeps the node, which then
+    raises wherever it is evaluated.
+    """
+    kids = _children(node)
+    if not all(isinstance(kid, Const) for kid in kids):
+        return node
+    op = _FUNCS[node.name] if isinstance(node, Call) else _OPS[type(node)][1]
+    try:
+        return Const(op(*(kid.value for kid in kids)))
+    except (ZeroDivisionError, ValueError, OverflowError):
+        return node
 
 
 def neg(a):
-    return _fold1(Neg(a), a)
+    return _fold(Neg(a))
 
 
 def add(a, b):
@@ -251,13 +222,13 @@ def add(a, b):
         return b
     if isinstance(b, Const) and b.value == 0:
         return a
-    return _fold2(Add(a, b), a, b)
+    return _fold(Add(a, b))
 
 
 def sub(a, b):
     if isinstance(b, Const) and b.value == 0:
         return a
-    return _fold2(Sub(a, b), a, b)
+    return _fold(Sub(a, b))
 
 
 def mul(a, b):
@@ -271,7 +242,7 @@ def mul(a, b):
             return Const(0j)
         if b.value == 1:
             return a
-    return _fold2(Mul(a, b), a, b)
+    return _fold(Mul(a, b))
 
 
 def div(a, b):
@@ -279,7 +250,7 @@ def div(a, b):
         return Const(0j)
     if isinstance(b, Const) and b.value == 1:
         return a
-    return _fold2(Div(a, b), a, b)
+    return _fold(Div(a, b))
 
 
 def pow_(base, exponent):
@@ -288,11 +259,11 @@ def pow_(base, exponent):
             return base
         if exponent.value == 0:
             return Const(1 + 0j)
-    return _fold2(Pow(base, exponent), base, exponent)
+    return _fold(Pow(base, exponent))
 
 
 def call(name, arg):
-    return _fold1(Call(name, arg), arg)
+    return _fold(Call(name, arg))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +271,9 @@ def call(name, arg):
 
 _ATOM_EXPECTED = frozenset({"number", "i", "u", "function", "("})
 
-# nesting of parentheses, calls, unary minus and exponents; bounds the parser's
-# recursion and keeps derivatives of extracted data within Python's compiler
+# nesting of parentheses, calls, unary minus and exponents; bounds only the
+# parser's recursion: sums and products of any length parse in loops, and every
+# later walk over the tree uses an explicit stack
 MAX_NESTING = 32
 
 
@@ -405,7 +377,7 @@ def _parse_power(tz):
         tz._advance()
         exp_start = tz.tok_start
         exponent = _parse_unary(tz)
-        if not exponent.is_constant():
+        if not exponent.constant:
             raise ParseError("power exponent must be constant", exp_start,
                              frozenset({"constant expression"}))
         return pow_(base, exponent)
@@ -448,50 +420,90 @@ def _parse_atom(tz):
 
 
 # ---------------------------------------------------------------------------
+# the one tree walker
+
+def _walk(roots, visit) -> list:
+    """visit(node, results of its children) once per distinct node, children
+    first; returns the results of the roots.
+
+    Post-order with an explicit stack, so tree depth costs no recursion.
+    Results are memoised by id, so a subtree shared by identity, within a
+    tree or across the roots, is visited once; the roots keep every visited
+    node alive, so no id is reused during the walk.
+    """
+    done: dict[int, object] = {}
+    for root in roots:
+        stack = [(root, None)]   # (node, its children once expanded)
+        while stack:
+            node, kids = stack.pop()
+            if kids is None:
+                if id(node) in done:
+                    continue
+                kids = _children(node)
+                if kids:
+                    stack.append((node, kids))
+                    stack.extend([(kid, None) for kid in reversed(kids)])
+                    continue
+            done[id(node)] = visit(node, [done[id(kid)] for kid in kids])
+    return [done[id(root)] for root in roots]
+
+
+# ---------------------------------------------------------------------------
 # symbolic derivative
 
 def diff(e: ExprAST) -> ExprAST:
     """Derivative with respect to the variable, as a new AST."""
+    return _walk((e,), _diff_node)[0]
+
+
+def _diff_node(e: ExprAST, d: list) -> ExprAST:
+    """The derivative of e, given the derivatives d of its children."""
     if isinstance(e, Const):
         return Const(0j)
     if isinstance(e, Var):
         return Const(1 + 0j)
     if isinstance(e, Neg):
-        return neg(diff(e.a))
+        return neg(d[0])
     if isinstance(e, Add):
-        return add(diff(e.a), diff(e.b))
+        return add(d[0], d[1])
     if isinstance(e, Sub):
-        return sub(diff(e.a), diff(e.b))
+        return sub(d[0], d[1])
     if isinstance(e, Mul):
-        return add(mul(diff(e.a), e.b), mul(e.a, diff(e.b)))
+        return add(mul(d[0], e.b), mul(e.a, d[1]))
     if isinstance(e, Div):
-        return div(sub(mul(diff(e.a), e.b), mul(e.a, diff(e.b))), mul(e.b, e.b))
-    if isinstance(e, Pow):
+        return div(sub(mul(d[0], e.b), mul(e.a, d[1])), mul(e.b, e.b))
+    if isinstance(e, Pow):  # the exponent is constant
         c = e.exponent
-        return mul(mul(c, pow_(e.base, sub(c, Const(1 + 0j)))), diff(e.base))
-    if isinstance(e, Call):
-        g, dg = e.arg, diff(e.arg)
-        if e.name == "exp":
-            return mul(call("exp", g), dg)
-        if e.name == "log":
-            return div(dg, g)
-        if e.name == "sqrt":
-            return div(dg, mul(Const(2 + 0j), call("sqrt", g)))
-        if e.name == "sin":
-            return mul(call("cos", g), dg)
-        if e.name == "cos":
-            return neg(mul(call("sin", g), dg))
-        if e.name == "sinh":
-            return mul(call("cosh", g), dg)
-        if e.name == "cosh":
-            return mul(call("sinh", g), dg)
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+        return mul(mul(c, pow_(e.base, sub(c, Const(1 + 0j)))), d[0])
+    g, dg = e.arg, d[0]
+    if e.name == "exp":
+        return mul(call("exp", g), dg)
+    if e.name == "log":
+        return div(dg, g)
+    if e.name == "sqrt":
+        return div(dg, mul(Const(2 + 0j), call("sqrt", g)))
+    if e.name == "sin":
+        return mul(call("cos", g), dg)
+    if e.name == "cos":
+        return neg(mul(call("sin", g), dg))
+    if e.name == "sinh":
+        return mul(call("cosh", g), dg)
+    if e.name == "cosh":
+        return mul(call("sinh", g), dg)
+    raise TypeError(f"cannot differentiate {e.name}")
 
 
 # ---------------------------------------------------------------------------
 # printing (inverse of parse up to constant folding)
 
 _LVL_ADD, _LVL_MUL, _LVL_NEG, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
+# binary node -> (operator text, level of the result, least level of the left
+# and of the right operand printed without parentheses)
+_INFIX = {
+    Add: (" + ", _LVL_ADD, _LVL_ADD, _LVL_MUL), Sub: (" - ", _LVL_ADD, _LVL_ADD, _LVL_MUL),
+    Mul: ("*", _LVL_MUL, _LVL_MUL, _LVL_NEG), Div: ("/", _LVL_MUL, _LVL_MUL, _LVL_NEG),
+    Pow: ("^", _LVL_POW, _LVL_ATOM, _LVL_NEG),
+}
 
 
 def _fmt_real(x: float) -> str:
@@ -520,130 +532,85 @@ def _fmt_const(c: complex):
     return (f"({_fmt_real(re)} - {im_str})", _LVL_ATOM)
 
 
-def _render(e: ExprAST):
+def _render_node(e: ExprAST, kids: list):
+    """(text, binding level) of e, given those of its children.  The text is
+    a rope, a str or a tuple of ropes, so printing a deep tree copies each
+    character once."""
     if isinstance(e, Const):
         return _fmt_const(e.value)
     if isinstance(e, Var):
         return ("u", _LVL_ATOM)
     if isinstance(e, Neg):
-        s, lvl = _render(e.a)
+        s, lvl = kids[0]
         if lvl < _LVL_NEG:
-            s = f"({s})"
-        return (f"-{s}", _LVL_NEG)
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        ls, ll = _render(e.a)
-        rs, rl = _render(e.b)
-        if ll < _LVL_ADD:
-            ls = f"({ls})"
-        if rl <= _LVL_ADD:
-            rs = f"({rs})"
-        return (f"{ls} {op} {rs}", _LVL_ADD)
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        ls, ll = _render(e.a)
-        rs, rl = _render(e.b)
-        if ll < _LVL_MUL:
-            ls = f"({ls})"
-        if rl <= _LVL_MUL:
-            rs = f"({rs})"
-        return (f"{ls}{op}{rs}", _LVL_MUL)
-    if isinstance(e, Pow):
-        bs, bl = _render(e.base)
-        es, el = _render(e.exponent)
-        if bl < _LVL_ATOM:
-            bs = f"({bs})"
-        if el < _LVL_NEG:
-            es = f"({es})"
-        return (f"{bs}^{es}", _LVL_POW)
+            s = ("(", s, ")")
+        return (("-", s), _LVL_NEG)
     if isinstance(e, Call):
-        return (f"{e.name}({_render(e.arg)[0]})", _LVL_ATOM)
-    raise TypeError(f"cannot print {type(e).__name__}")
+        return ((e.name, "(", kids[0][0], ")"), _LVL_ATOM)
+    (ls, ll), (rs, rl) = kids
+    op, lvl, left_min, right_min = _INFIX[type(e)]
+    if ll < left_min:
+        ls = ("(", ls, ")")
+    if rl < right_min:
+        rs = ("(", rs, ")")
+    return ((ls, op, rs), lvl)
 
 
 def to_string(e: ExprAST) -> str:
-    return _render(e)[0]
+    out, stack = [], [_walk((e,), _render_node)[0][0]]
+    while stack:
+        rope = stack.pop()
+        if isinstance(rope, str):
+            out.append(rope)
+        else:
+            stack.extend(reversed(rope))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
-# compilation (hot-path evaluation; the same operations as ExprAST.eval)
-
-_COMPILE_NS = {
-    "exp": cmath.exp, "log": _clog, "sqrt": cmath.sqrt,
-    "sin": cmath.sin, "cos": cmath.cos, "sinh": cmath.sinh, "cosh": cmath.cosh,
-    "_cpow": _cpow,
-}
-
-_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-
-
-def _children(e: ExprAST) -> tuple:
-    if isinstance(e, (Const, Var)):
-        return ()
-    if isinstance(e, Neg):
-        return (e.a,)
-    if isinstance(e, Call):
-        return (e.arg,)
-    if isinstance(e, Pow):
-        return (e.base, e.exponent)
-    if type(e) in _BINARY:
-        return (e.a, e.b)
-    raise TypeError(f"cannot compile {type(e).__name__}")
-
+# compilation: the one evaluator
 
 def _emit(roots):
     """Straight-line source for the roots: (lines, operand names, constants).
 
-    Post-order with an explicit stack, so tree depth costs no recursion and
-    the output nests no parentheses.  Each distinct subtree gets one
+    The output nests no parentheses.  Each distinct subtree gets one
     assignment; a subtree is keyed on its operator and the names of its
     operands, and a constant on the bytes of its real and imaginary parts,
     never on `==`, which equates 0.0 with -0.0 and no NaN with itself.
     """
-    by_id: dict[int, str] = {}       # id(node) -> operand name
     by_key: dict[tuple, str] = {}    # structural key -> operand name
     consts: list[complex] = []
     lines: list[str] = []
-    for root in roots:
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in by_id:
-                continue
-            kids = _children(node)
-            if kids and not expanded:
-                stack.append((node, True))
-                stack.extend((kid, False) for kid in reversed(kids))
-                continue
-            args = [by_id[id(kid)] for kid in kids]
+
+    def visit(node, args):
+        if isinstance(node, Const):
+            value = complex(node.value)
+            key = ("const", struct.pack("<dd", value.real, value.imag))
+        elif isinstance(node, Call):
+            key = ("call", node.name, *args)
+        else:
+            key = (type(node).__name__, *args)
+        name = by_key.get(key)
+        if name is None:
             if isinstance(node, Const):
-                value = complex(node.value)
-                key = ("const", struct.pack("<dd", value.real, value.imag))
-            elif isinstance(node, Call):
-                key = ("call", node.name, *args)
+                name = f"c{len(consts)}"
+                consts.append(value)
+            elif isinstance(node, Var):
+                name = "u"
             else:
-                key = (type(node).__name__, *args)
-            name = by_key.get(key)
-            if name is None:
-                if isinstance(node, Const):
-                    name = f"c{len(consts)}"
-                    consts.append(value)
-                elif isinstance(node, Var):
-                    name = "u"
+                name = f"t{len(lines)}"
+                if isinstance(node, Call):
+                    rhs = f"{node.name}({args[0]})"
                 else:
-                    name = f"t{len(lines)}"
-                    if isinstance(node, Neg):
-                        rhs = f"-{args[0]}"
-                    elif isinstance(node, Pow):
-                        rhs = f"_cpow({args[0]}, {args[1]})"
-                    elif isinstance(node, Call):
-                        rhs = f"{node.name}({args[0]})"
-                    else:
-                        rhs = f"{args[0]} {_BINARY[type(node)]} {args[1]}"
-                    lines.append(f"        {name} = {rhs}")
-                by_key[key] = name
-            by_id[id(node)] = name
-    return lines, [by_id[id(root)] for root in roots], consts
+                    rhs = _OPS[type(node)][0].format(*args)
+                lines.append(f"        {name} = {rhs}")
+            by_key[key] = name
+        return name
+
+    return lines, _walk(roots, visit), consts
+
+
+_COMPILE_NS = {**_FUNCS, "_cpow": _cpow}
 
 
 def compile_ast(e):
@@ -652,11 +619,11 @@ def compile_ast(e):
     The emitted function is straight-line code with one assignment per
     distinct subtree, shared within and across the trees of a tuple.
     Constants are bound by name, so every complex value (signed zeros, NaN
-    and inf included) reaches the code bit for bit.  Each node runs the same
-    floating-point operation as ExprAST.eval, so values are bitwise equal to
-    it; at poles the function raises the native ZeroDivisionError,
-    ValueError or OverflowError instead of EvalError, for callers inside
-    integrators that know w.
+    and inf included) reaches the code bit for bit.  Each node runs its
+    operation from the table that constant folding applies too.  At poles
+    the function raises the native ZeroDivisionError, ValueError or
+    OverflowError, for callers inside integrators that know w;
+    compile_checked turns these into EvalError.
     """
     roots = tuple(e) if isinstance(e, tuple) else (e,)
     lines, results, consts = _emit(roots)
@@ -667,3 +634,18 @@ def compile_ast(e):
     scope: dict = {}
     exec(compile(src, "<expr>", "exec"), scope)
     return scope["_bind"](*_COMPILE_NS.values(), *consts)
+
+
+def compile_checked(e):
+    """compile_ast(e), called as w -> value with w passed on as complex (so
+    a numpy scalar never reaches the compiled code), raising EvalError(message,
+    w) where the compiled code raises ZeroDivisionError, ValueError or
+    OverflowError."""
+    fn = compile_ast(e)
+
+    def checked(w):
+        try:
+            return fn(complex(w))
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise EvalError(str(exc), w) from exc
+    return checked

@@ -34,7 +34,7 @@ from .lorentz import F3, frame_from_point, hermitize
 
 __all__ = [
     "EPS_LOC", "H_MAX", "GridSpec", "IntegrationStats", "SurfaceGrid",
-    "coefficient_matrix", "ode_rhs", "integrate_frame", "solve_bjorling",
+    "coefficient_matrix", "integrate_frame", "solve_bjorling",
 ]
 
 EPS_LOC = 1e-10   # local error budget per unit arclength
@@ -57,11 +57,6 @@ def coefficient_matrix(wd: WeierstrassData, w: complex) -> np.ndarray:
     if not _finite(m):
         raise IntegrationError("coefficient matrix is not finite", w)
     return np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
-
-
-def ode_rhs(wd: WeierstrassData, w: complex, f: np.ndarray) -> np.ndarray:
-    """Right-hand side M(w) F of the frame equation."""
-    return coefficient_matrix(wd, w) @ np.asarray(f, dtype=complex)
 
 
 @dataclass

@@ -64,7 +64,7 @@ def test_criterion_1_weierstrass_extraction_exactness():
         wd = bj.weierstrass_from_bjorling(data)
         g_ref, om_ref = _printed_weierstrass(family, p)
         for u in np.linspace(*data.interval, 33):
-            g, om = wd.G_fn(u), wd.omega_fn(u)
+            g, om = wd.jet_fn(complex(u))[:2]
             worst = max(worst,
                         abs(g - g_ref(u)) / (1.0 + abs(g_ref(u))),
                         abs(om - om_ref(u)) / (1.0 + abs(om_ref(u))))
@@ -131,7 +131,8 @@ def test_criterion_3_zero_mean_curvature(pipeline):
     f0 = lz.frame_from_point(lz.hermitize(data.gamma.eval(np.pi)))
 
     def perturbed_coef(w):
-        g, om = wd0.G_fn(w), wd0.omega_fn(w) * (1 + 0.1 * w.real)
+        g, om = wd0.jet_fn(w)[:2]
+        om = om * (1 + 0.1 * w.real)
         m11 = g * om
         return (m11, -(g * m11), om, -m11)
 

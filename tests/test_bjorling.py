@@ -30,9 +30,9 @@ def test_chebyshev_nodes_cover_endpoints():
 
 def test_lambda_matches_hand_formula():
     a = 1.5
-    data = elliptic_data(a)
+    lam_fn = bj.lambda_expr(elliptic_data(a)).eval
     for u in (0.0, 0.7, 2.9):
-        lam = bj.lambda_of(data, u)
+        lam = lam_fn(u)
         hand = 0.5 * np.array([
             [-1j * (a - 2), 1j * (2 - a) * cmath.exp(2j * u)],
             [-1j * (2 + a) * cmath.exp(-2j * u), -1j * (a + 2)]])
@@ -44,16 +44,16 @@ def test_lambda_with_zero_tangent_field_is_half_velocity():
     zero = ex.Const(0j)
     forced = bj.BjorlingData(data.gamma, bj.MatrixExpr(zero, zero, zero, zero),
                              data.interval)
-    lam = bj.lambda_of(forced, 1.1)
+    lam = bj.lambda_expr(forced).eval(1.1)
     assert np.max(np.abs(lam - 0.5 * data.gamma.diff().eval(1.1))) <= 1e-15
 
 
 def test_lambda_is_singular_on_admissible_data():
     for family, p in (("elliptic", 1.5), ("hyperbolic", 1.5), ("parabolic", 0.5)):
         data = ct.catenoid_bjorling_data(ct.CatenoidSpec(family, p))
+        lam_fn = bj.lambda_expr(data).eval
         for u in data.nodes():
-            lam = bj.lambda_of(data, u)
-            assert abs(lz.det2(lam)) <= 1e-10
+            assert abs(lz.det2(lam_fn(u))) <= 1e-10
 
 
 def test_conformality_passes_on_catenoid_data():
@@ -115,7 +115,7 @@ def test_weierstrass_matches_printed_forms(family, p, printed_g, printed_om):
     data = ct.catenoid_bjorling_data(ct.CatenoidSpec(family, p))
     wd = bj.weierstrass_from_bjorling(data)
     for u in np.linspace(*data.interval, 33):
-        g, om = wd.G_fn(u), wd.omega_fn(u)
+        g, om = wd.jet_fn(complex(u))[:2]
         assert abs(g - printed_g(u)) <= 1e-10 * (1 + abs(g))
         assert abs(om - printed_om(u)) <= 1e-10 * (1 + abs(om))
 
@@ -150,11 +150,12 @@ def test_reconstruction_omega_gamma_equals_lambda():
     for family, p in (("elliptic", 1.5), ("hyperbolic", 1.5), ("parabolic", 0.5)):
         data = ct.catenoid_bjorling_data(ct.CatenoidSpec(family, p))
         wd = bj.weierstrass_from_bjorling(data)
+        lam_fn = bj.lambda_expr(data).eval
         for u in data.nodes():
-            g, om = wd.G_fn(u), wd.omega_fn(u)
+            g, om = wd.jet_fn(complex(u))[:2]
             coef = om * np.array([[g, -g * g], [1.0, -g]])
             lhs = coef @ data.gamma.eval(u)
-            lam = bj.lambda_of(data, u)
+            lam = lam_fn(u)
             scale = 1.0 + float(np.max(np.abs(lam)))
             assert np.max(np.abs(lhs - lam)) <= 1e-9 * scale
 
@@ -166,3 +167,14 @@ def test_inadmissible_data_raises_inconsistency():
                              for e in data.tangent.entries()))
     with pytest.raises(DataInconsistencyError):
         bj.weierstrass_from_bjorling(bj.BjorlingData(data.gamma, scaled, data.interval))
+
+
+def test_extracted_pole_on_the_seam_is_an_inconsistency():
+    # on [0, 3] the parabolic data has Lambda21 = 0 exactly at the node u = 0,
+    # and the midpoint picks the (11)/(21) route, so G has a pole on the seam
+    data = ct.catenoid_bjorling_data(ct.CatenoidSpec("parabolic", 0.5))
+    data = bj.BjorlingData(data.gamma, data.tangent, (0.0, 3.0))
+    assert bj.lambda_expr(data).eval(0.0)[1, 0] == 0
+    with pytest.raises(DataInconsistencyError, match="extracted data has a pole") as err:
+        bj.weierstrass_from_bjorling(data)
+    assert err.value.u == 0.0

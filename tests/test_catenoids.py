@@ -112,17 +112,20 @@ def test_rotational_invariance(family):
 def test_classification_weierstrass_printed_pairs():
     a, b, c = 1.5, 1.5, 0.5
     wd = ct.classification_weierstrass(ct.CatenoidSpec("elliptic", a))
-    for u in np.linspace(0, 2 * np.pi, 9):
-        assert wd.G_fn(u) == pytest.approx((a - 2) / (a + 2) * cmath.exp(2j * u))
-        assert wd.omega_fn(u) == pytest.approx(-1j * (a + 2) ** 2 / 8 * cmath.exp(-2j * u))
+    for u in np.linspace(0, 2 * np.pi, 9).tolist():
+        g, om = wd.jet_fn(complex(u))[:2]
+        assert g == pytest.approx((a - 2) / (a + 2) * cmath.exp(2j * u))
+        assert om == pytest.approx(-1j * (a + 2) ** 2 / 8 * cmath.exp(-2j * u))
     wd = ct.classification_weierstrass(ct.CatenoidSpec("hyperbolic", b))
-    for u in np.linspace(-1, 1, 9):
-        assert wd.G_fn(u) == pytest.approx((b + 2j) / (b - 2j) * cmath.exp(2 * u))
-        assert wd.omega_fn(u) == pytest.approx((b - 2j) ** 2 / 8 * cmath.exp(-2 * u))
+    for u in np.linspace(-1, 1, 9).tolist():
+        g, om = wd.jet_fn(complex(u))[:2]
+        assert g == pytest.approx((b + 2j) / (b - 2j) * cmath.exp(2 * u))
+        assert om == pytest.approx((b - 2j) ** 2 / 8 * cmath.exp(-2 * u))
     wd = ct.classification_weierstrass(ct.CatenoidSpec("parabolic", c))
-    for u in np.linspace(0.5, 2, 9):
-        assert wd.G_fn(u) == pytest.approx(u + 2j / c)
-        assert wd.omega_fn(u) == pytest.approx(c * c / 4)
+    for u in np.linspace(0.5, 2, 9).tolist():
+        g, om = wd.jet_fn(complex(u))[:2]
+        assert g == pytest.approx(u + 2j / c)
+        assert om == pytest.approx(c * c / 4)
 
 
 def test_catenoid_data_reproduces_classification_data():
@@ -131,10 +134,11 @@ def test_catenoid_data_reproduces_classification_data():
         data = ct.catenoid_bjorling_data(ct.CatenoidSpec(family, p))
         wd = bj.weierstrass_from_bjorling(data)
         table = ct.classification_weierstrass(ct.CatenoidSpec(family, p))
-        for u in data.nodes():
-            assert abs(wd.G_fn(u) - table.G_fn(u)) <= 1e-10 * (1 + abs(table.G_fn(u)))
-            assert abs(wd.omega_fn(u) - table.omega_fn(u)) <= \
-                1e-10 * (1 + abs(table.omega_fn(u)))
+        for u in data.nodes().tolist():
+            g, om = wd.jet_fn(complex(u))[:2]
+            g_ref, om_ref = table.jet_fn(complex(u))[:2]
+            assert abs(g - g_ref) <= 1e-10 * (1 + abs(g_ref))
+            assert abs(om - om_ref) <= 1e-10 * (1 + abs(om_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +212,6 @@ def test_base_and_extension_charts_agree_for_positive_ut():
             lhs = ct.nonrotational_closed_form(c, u, v)
             rhs = ct.nonrotational_extension(c, math.exp(u), v)
             assert np.max(np.abs(lhs - rhs)) <= 1e-14
-    x, xt = ct.nonrotational_example(c, 0.4, 0.2)
-    assert np.max(np.abs(x - ct.nonrotational_closed_form(c, 0.4, 0.2))) == 0
-    assert np.max(np.abs(xt - ct.nonrotational_extension(c, 0.4, 0.2))) == 0
 
 
 def test_nonrotational_shares_the_parabolic_initial_curve():
@@ -225,9 +226,10 @@ def test_nonrotational_shares_the_parabolic_initial_curve():
 def test_nonrotational_data_gives_printed_weierstrass():
     c = 0.5
     wd = bj.weierstrass_from_bjorling(ct.nonrotational_bjorling_data(c))
-    for u in np.linspace(0.5, 2.0, 33):
-        assert abs(wd.G_fn(u) - (c + 2j) / c * u) <= 1e-10 * (1 + abs(u))
-        assert abs(wd.omega_fn(u) - c * c / (4 * u * u)) <= 1e-10
+    for u in np.linspace(0.5, 2.0, 33).tolist():
+        g, om = wd.jet_fn(complex(u))[:2]
+        assert abs(g - (c + 2j) / c * u) <= 1e-10 * (1 + abs(u))
+        assert abs(om - c * c / (4 * u * u)) <= 1e-10
 
 
 def test_nonrotational_solve_recovers_the_curve():

@@ -438,3 +438,113 @@ def test_boolean_fields_still_take_booleans(tmp_path):
     assert cli.main(["solve", "--input", _write_job(tmp_path / "job.json", job),
                      "--out", str(out)]) == cli.EXIT_OK
     assert "gauge_test_max_deviation" in json.loads((out / "report.json").read_text())
+
+
+_PARABOLIC_BJORLING = {
+    "bjorling": {
+        "gamma": {"m11": "u^2", "m12": "u", "m21": "u", "m22": "1"},
+        "tangent": {"m11": "0.5*u^2", "m12": "0.5*u + i", "m21": "0.5*u - i", "m22": "0.5"},
+        "interval": [0.5, 2.0],
+    },
+    "grid": {"u_range": [0.5, 2.0], "v_range": [-0.5, 0.5], "n_u": 5, "n_v": 3},
+}
+
+
+@pytest.mark.parametrize("catenoid, field", [
+    ({"family": "bogus"}, "catenoid block needs a param"),
+    ({"family": "bogus", "param": 1.5}, "unknown family 'bogus'"),
+    (5, "catenoid block must be an object")])
+def test_solve_validates_a_catenoid_block_beside_a_bjorling_block(tmp_path, capsys,
+                                                                  catenoid, field):
+    # the catenoid block only names the default grid here, but must be valid
+    job = dict(_PARABOLIC_BJORLING, catenoid=catenoid)
+    path = _write_job(tmp_path / "job.json", job)
+    assert cli.main(["check", "--input", path]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["solve", "--input", path, "--out", str(tmp_path / "out")]) == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, field)
+
+
+def _rewrite_npz(src, dst, **members):
+    with np.load(src) as npz:
+        arrays = dict(npz.items())
+    arrays.update(members)
+    np.savez(dst, **arrays)
+    return str(dst)
+
+
+@pytest.fixture(scope="module")
+def tiny_grids(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    assert cli.main(["catenoid", "--family", "parabolic", "--out", str(root / "cat"),
+                     "--grid", "0.5,2,-0.5,0.5,4,3"]) == cli.EXIT_OK
+    assert cli.main(["extend", "--param", "0.5", "--out", str(root / "ext"),
+                     "--grid=-0.5,0.5,0,1,3,2"]) == cli.EXIT_OK
+    return root / "cat" / "grid.npz", root / "ext" / "extension_chart_grid.npz"
+
+
+def test_diagnose_rejects_meta_json_that_is_not_json(tmp_path, capsys, tiny_grids):
+    path = _rewrite_npz(tiny_grids[0], tmp_path / "g.npz", meta_json=np.array("{nope"))
+    assert cli.main(["diagnose", "--input", path]) == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "meta_json is not JSON")
+    path = _rewrite_npz(tiny_grids[0], tmp_path / "h.npz", meta_json=np.array("[1, 2]"))
+    assert cli.main(["diagnose", "--input", path]) == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "meta_json must be a JSON object")
+
+
+@pytest.mark.parametrize("meta", ["{}", '{"param": NaN}', '{"param": "0.5"}'])
+def test_diagnose_needs_a_finite_extension_param(tmp_path, capsys, tiny_grids, meta):
+    path = _rewrite_npz(tiny_grids[1], tmp_path / "g.npz", meta_json=np.array(meta))
+    assert cli.main(["diagnose", "--input", path]) == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "param")
+
+
+@pytest.mark.parametrize("member, cut", [("X", np.s_[:, :-1]), ("F", np.s_[:-1]),
+                                         ("valid", np.s_[:, :-1]),
+                                         ("det_drift", np.s_[None]),
+                                         ("u", np.s_[None]), ("v", np.s_[None])])
+def test_diagnose_rejects_mismatched_grid_shapes(tmp_path, capsys, tiny_grids, member, cut):
+    with np.load(tiny_grids[0]) as npz:
+        bad = npz[member][cut]
+    path = _rewrite_npz(tiny_grids[0], tmp_path / "g.npz", **{member: bad})
+    assert cli.main(["diagnose", "--input", path]) == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "grid file")
+
+
+def test_diagnose_rejects_a_file_that_is_not_an_npz_archive(tmp_path, capsys):
+    np.save(tmp_path / "plain.npy", np.zeros(3))
+    assert cli.main(["diagnose", "--input", str(tmp_path / "plain.npy")]) == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, "not an .npz archive")
+
+
+def test_thousand_term_sum_checks_solves_and_diagnoses(tmp_path):
+    # gamma.m11 = 1 as a flat sum of 1000 terms: admissible, far deeper than
+    # Python's recursion limit once differentiated and extracted
+    job = {"bjorling": {
+        "gamma": {"m11": "1" + "+0.001*u-0.001*u" * 500, "m12": "exp(2*i*u)",
+                  "m21": "exp(-2*i*u)", "m22": "1"},
+        "tangent": {"m11": "-0.5", "m12": "1.5*exp(2*i*u)", "m21": "1.5*exp(-2*i*u)",
+                    "m22": "3.5"},
+        "interval": [0.0, 6.283185307179586]},
+        "grid": {"u_range": [0.0, 1.0], "v_range": [-0.5, 0.5], "n_u": 9, "n_v": 5}}
+    path = _write_job(tmp_path / "job.json", job)
+    assert cli.main(["check", "--input", path]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--input", path, "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"]["valid_nodes"] == 45
+    assert report["summary"]["max_boundary_curve_residual"] <= 1e-8
+    redo = tmp_path / "redo"
+    assert cli.main(["diagnose", "--input", str(out / "grid.npz"),
+                     "--out", str(redo)]) == cli.EXIT_OK
+    assert (out / "diagnostics.csv").read_bytes() == (redo / "diagnostics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("member, bad", [("u", np.array(["a", "b", "c", "d"])),
+                                         ("valid", np.zeros((3, 4))),
+                                         ("X", np.zeros((3, 4, 2, 2), dtype="U1"))])
+def test_diagnose_rejects_grid_arrays_of_the_wrong_kind(tmp_path, capsys, tiny_grids,
+                                                        member, bad):
+    path = _rewrite_npz(tiny_grids[0], tmp_path / "g.npz", **{member: bad})
+    assert cli.main(["diagnose", "--input", path]) == cli.EXIT_IO
+    _assert_one_line_schema_error(capsys, f"grid file: {member} is")

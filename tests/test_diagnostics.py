@@ -28,7 +28,7 @@ def test_tangent_vectors_match_boundary_fields(elliptic_wd):
     dgamma = data.gamma.diff()
     for u in np.linspace(0, 2 * np.pi, 9):
         x = elliptic_surface(complex(u))
-        xu, xv = dg.tangent_vectors(elliptic_wd, x, complex(u))
+        xu, xv = dg.surface_derivatives(elliptic_wd, x, complex(u))[:2]
         assert np.max(np.abs(xu - dgamma.eval(u))) <= 1e-8
         assert np.max(np.abs(xv - data.tangent.eval(u))) <= 1e-6
 
@@ -37,7 +37,7 @@ def test_tangent_vectors_match_finite_differences(elliptic_wd):
     h = 1e-5
     for w in (0.4 + 0.3j, 2.0 - 0.7j, 5.1 + 0.9j):
         x = elliptic_surface(w)
-        xu, xv = dg.tangent_vectors(elliptic_wd, x, w)
+        xu, xv = dg.surface_derivatives(elliptic_wd, x, w)[:2]
         fd_u = (elliptic_surface(w + h) - elliptic_surface(w - h)) / (2 * h)
         fd_v = (elliptic_surface(w + 1j * h) - elliptic_surface(w - 1j * h)) / (2 * h)
         assert np.max(np.abs(xu - fd_u)) <= 1e-6
@@ -47,7 +47,7 @@ def test_tangent_vectors_match_finite_differences(elliptic_wd):
 def test_immersion_is_conformal(elliptic_wd):
     for w in (0.0j, 1.1 + 0.5j, 3.0 - 0.8j):
         x = elliptic_surface(w)
-        xu, xv = dg.tangent_vectors(elliptic_wd, x, w)
+        xu, xv = dg.surface_derivatives(elliptic_wd, x, w)[:2]
         scale = 1.0 + abs(lz.minkowski_inner(xu, xu))
         assert abs(lz.minkowski_inner(xu, xu) - lz.minkowski_inner(xv, xv)) <= 1e-8 * scale
         assert abs(lz.minkowski_inner(xu, xv)) <= 1e-8 * scale
@@ -58,7 +58,7 @@ def test_gauss_map_residuals_on_random_nodes(elliptic_wd):
     for _ in range(100):
         w = complex(rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1))
         x = elliptic_surface(w)
-        xu, xv = dg.tangent_vectors(elliptic_wd, x, w)
+        xu, xv = dg.surface_derivatives(elliptic_wd, x, w)[:2]
         n = dg.gauss_map(x, xu, xv)
         assert float(np.max(dg.gauss_residuals(x, xu, xv, n))) <= 1e-10
 
@@ -67,7 +67,7 @@ def test_gauss_map_is_independent_of_the_particular_solution(elliptic_wd):
     # shifting the particular solution along X must not move n
     w = 1.2 + 0.4j
     x = elliptic_surface(w)
-    xu, xv = dg.tangent_vectors(elliptic_wd, x, w)
+    xu, xv = dg.surface_derivatives(elliptic_wd, x, w)[:2]
     n = dg.gauss_map(x, xu, xv)
     xvec = np.array(lz.herm_to_vec(lz.hermitize(x)))
     rows = []
@@ -98,7 +98,7 @@ def test_second_fundamental_symmetry(elliptic_wd):
 
     def n_at(w):
         x = elliptic_surface(w)
-        return dg.gauss_map(x, *dg.tangent_vectors(elliptic_wd, x, w))
+        return dg.gauss_map(x, *dg.surface_derivatives(elliptic_wd, x, w)[:2])
 
     for w in (0.5 + 0.2j, 2.4 - 0.5j):
         x = elliptic_surface(w)
@@ -241,7 +241,7 @@ def test_degenerate_metric_node_keeps_nan_curvatures(elliptic_wd):
     node = (1, 3)
     grid.X[node] *= 1e-7
     x, w = grid.X[node], complex(grid.u[3], grid.v[1])
-    xu, xv = dg.tangent_vectors(elliptic_wd, x, w)
+    xu, xv = dg.surface_derivatives(elliptic_wd, x, w)[:2]
     dg.gauss_map(x, xu, xv)  # the plane is not degenerate
     with pytest.raises(DegenerateMetricError):
         dg.point_diagnostics(elliptic_wd, x, w)
@@ -260,7 +260,8 @@ def test_perturbed_flow_is_a_negative_control():
     f0 = lz.frame_from_point(lz.hermitize(data.gamma.eval(np.pi)))
 
     def perturbed_coef(w):
-        g, om = wd.G_fn(w), wd.omega_fn(w) * (1 + 0.1 * w.real)
+        g, om = wd.jet_fn(w)[:2]
+        om = om * (1 + 0.1 * w.real)
         m11 = g * om
         return (m11, -(g * m11), om, -m11)
 

@@ -10,6 +10,126 @@ from lightcone import expr as ex
 from lightcone.errors import EvalError, ParseError
 
 
+# ---------------------------------------------------------------------------
+# references: the recursive evaluation, derivative and printer the module
+# replaced with its one explicit-stack walker and its compiler
+
+_REF_FUNCS = {"exp": cmath.exp, "log": cmath.log, "sqrt": cmath.sqrt, "sin": cmath.sin,
+              "cos": cmath.cos, "sinh": cmath.sinh, "cosh": cmath.cosh}
+
+
+def _ref_eval(e, w):
+    """One recursive evaluation per node; poles raise EvalError."""
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return complex(w)
+    if isinstance(e, ex.Neg):
+        return -_ref_eval(e.a, w)
+    if isinstance(e, ex.Add):
+        return _ref_eval(e.a, w) + _ref_eval(e.b, w)
+    if isinstance(e, ex.Sub):
+        return _ref_eval(e.a, w) - _ref_eval(e.b, w)
+    if isinstance(e, ex.Mul):
+        return _ref_eval(e.a, w) * _ref_eval(e.b, w)
+    if isinstance(e, ex.Div):
+        den = _ref_eval(e.b, w)
+        if den == 0:
+            raise EvalError("division by zero", w)
+        return _ref_eval(e.a, w) / den
+    if isinstance(e, ex.Pow):
+        try:
+            return ex._cpow(_ref_eval(e.base, w), _ref_eval(e.exponent, w))
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise EvalError(str(exc), w) from exc
+    z = _ref_eval(e.arg, w)
+    try:
+        return _REF_FUNCS[e.name](z)
+    except (ValueError, OverflowError) as exc:
+        raise EvalError(f"{e.name}: {exc}", w) from exc
+
+
+def _ref_diff(e):
+    """The recursive derivative, building through the folding constructors."""
+    if isinstance(e, ex.Const):
+        return ex.Const(0j)
+    if isinstance(e, ex.Var):
+        return ex.Const(1 + 0j)
+    if isinstance(e, ex.Neg):
+        return ex.neg(_ref_diff(e.a))
+    if isinstance(e, ex.Add):
+        return ex.add(_ref_diff(e.a), _ref_diff(e.b))
+    if isinstance(e, ex.Sub):
+        return ex.sub(_ref_diff(e.a), _ref_diff(e.b))
+    if isinstance(e, ex.Mul):
+        return ex.add(ex.mul(_ref_diff(e.a), e.b), ex.mul(e.a, _ref_diff(e.b)))
+    if isinstance(e, ex.Div):
+        return ex.div(ex.sub(ex.mul(_ref_diff(e.a), e.b), ex.mul(e.a, _ref_diff(e.b))),
+                      ex.mul(e.b, e.b))
+    if isinstance(e, ex.Pow):
+        c = e.exponent
+        return ex.mul(ex.mul(c, ex.pow_(e.base, ex.sub(c, ex.Const(1 + 0j)))),
+                      _ref_diff(e.base))
+    g, dg = e.arg, _ref_diff(e.arg)
+    if e.name == "exp":
+        return ex.mul(ex.call("exp", g), dg)
+    if e.name == "log":
+        return ex.div(dg, g)
+    if e.name == "sqrt":
+        return ex.div(dg, ex.mul(ex.Const(2 + 0j), ex.call("sqrt", g)))
+    if e.name == "sin":
+        return ex.mul(ex.call("cos", g), dg)
+    if e.name == "cos":
+        return ex.neg(ex.mul(ex.call("sin", g), dg))
+    if e.name == "sinh":
+        return ex.mul(ex.call("cosh", g), dg)
+    return ex.mul(ex.call("sinh", g), dg)  # cosh
+
+
+def _ref_render(e):
+    """The recursive printer: (text, binding level)."""
+    if isinstance(e, ex.Const):
+        return ex._fmt_const(e.value)
+    if isinstance(e, ex.Var):
+        return ("u", ex._LVL_ATOM)
+    if isinstance(e, ex.Neg):
+        s, lvl = _ref_render(e.a)
+        if lvl < ex._LVL_NEG:
+            s = f"({s})"
+        return (f"-{s}", ex._LVL_NEG)
+    if isinstance(e, (ex.Add, ex.Sub)):
+        op = "+" if isinstance(e, ex.Add) else "-"
+        ls, ll = _ref_render(e.a)
+        rs, rl = _ref_render(e.b)
+        if ll < ex._LVL_ADD:
+            ls = f"({ls})"
+        if rl <= ex._LVL_ADD:
+            rs = f"({rs})"
+        return (f"{ls} {op} {rs}", ex._LVL_ADD)
+    if isinstance(e, (ex.Mul, ex.Div)):
+        op = "*" if isinstance(e, ex.Mul) else "/"
+        ls, ll = _ref_render(e.a)
+        rs, rl = _ref_render(e.b)
+        if ll < ex._LVL_MUL:
+            ls = f"({ls})"
+        if rl <= ex._LVL_MUL:
+            rs = f"({rs})"
+        return (f"{ls}{op}{rs}", ex._LVL_MUL)
+    if isinstance(e, ex.Pow):
+        bs, bl = _ref_render(e.base)
+        es, el = _ref_render(e.exponent)
+        if bl < ex._LVL_ATOM:
+            bs = f"({bs})"
+        if el < ex._LVL_NEG:
+            es = f"({es})"
+        return (f"{bs}^{es}", ex._LVL_POW)
+    return (f"{e.name}({_ref_render(e.arg)[0]})", ex._LVL_ATOM)
+
+
+def _value(text, w):
+    return ex.compile_checked(ex.parse(text))(w)
+
+
 def test_parse_structure():
     assert ex.parse("exp(2*i*u)") == ex.Call("exp", ex.Mul(ex.Const(2j), ex.Var()))
 
@@ -22,7 +142,7 @@ def test_constant_rational_arithmetic():
     # (a-2)/(a+2) at a = 3/2 is -1/7, folded at parse time
     node = ex.parse("(1.5-2)/(1.5+2)")
     assert isinstance(node, ex.Const)
-    assert node.eval(0.37) == pytest.approx(-1 / 7, abs=1e-16)
+    assert node.value == pytest.approx(-1 / 7, abs=1e-16)
 
 
 def test_double_caret_is_a_syntax_error():
@@ -44,37 +164,45 @@ def test_nonconstant_exponent_is_rejected():
     ("sinh(u) + cosh(u)", 1.0, math.exp(1)),
 ])
 def test_eval_values(text, w, expected):
-    assert ex.parse(text).eval(w) == pytest.approx(expected, abs=1e-14)
+    assert _value(text, w) == pytest.approx(expected, abs=1e-14)
 
 
 def test_eval_principal_branches():
-    assert ex.parse("log(u)").eval(-1.0) == pytest.approx(1j * math.pi)
-    assert ex.parse("sqrt(u)").eval(-4.0) == pytest.approx(2j)
-    assert ex.parse("u^0.5").eval(-4.0) == pytest.approx(2j)
+    assert _value("log(u)", -1.0) == pytest.approx(1j * math.pi)
+    assert _value("sqrt(u)", -4.0) == pytest.approx(2j)
+    assert _value("u^0.5", -4.0) == pytest.approx(2j)
 
 
 def test_division_by_zero_carries_the_argument():
+    # compile_checked maps the native errors of compiled code to EvalError,
+    # carrying the argument as the caller passed it
     with pytest.raises(EvalError) as err:
-        ex.parse("1/u").eval(0j)
+        _value("1/u", 0j)
     assert err.value.w == 0j
-    with pytest.raises(EvalError):
-        ex.parse("log(u)").eval(0.0)
+    assert "at w = 0j" in str(err.value)
+    with pytest.raises(EvalError) as err:
+        _value("log(u)", 0.0)
+    assert err.value.w == 0.0 and isinstance(err.value.w, float)
+    with pytest.raises(EvalError) as err:  # and a tuple, failing in one entry
+        ex.compile_checked((ex.parse("u"), ex.parse("exp(u)")))(1e6)
+    assert err.value.w == 1e6
+    assert isinstance(err.value.__cause__, OverflowError)
 
 
 def test_zero_to_negative_power_fails():
     with pytest.raises(EvalError):
-        ex.parse("u^-2").eval(0.0)
+        _value("u^-2", 0.0)
 
 
 def test_diff_power_rule_semantically():
     d = ex.diff(ex.parse("u^2"))
     ref = ex.parse("2*u")
     for w in (0.3, -1.2, 2 + 1j, -0.5j, 1.7 - 0.4j):
-        assert d.eval(w) == pytest.approx(ref.eval(w), abs=1e-12)
+        assert ex.compile_checked(d)(w) == pytest.approx(ex.compile_checked(ref)(w), abs=1e-12)
 
 
 def test_diff_chain_rule_at_zero():
-    assert ex.diff(ex.parse("exp(2*i*u)")).eval(0.0) == pytest.approx(2j)
+    assert ex.compile_checked(ex.diff(ex.parse("exp(2*i*u)")))(0.0) == pytest.approx(2j)
 
 
 def test_diff_constant_is_zero():
@@ -89,7 +217,7 @@ def test_compiled_matches_eval():
         node = ex.parse(text)
         fn = ex.compile_ast(node)
         for w in (0.7, -1.3 + 0.2j, 2.5j):
-            assert fn(w) == node.eval(w)
+            assert fn(w) == _ref_eval(node, w)
 
 
 def test_compiled_constants_keep_their_bits():
@@ -98,7 +226,7 @@ def test_compiled_constants_keep_their_bits():
     pos, neg = ex.Add(u, ex.Const(complex(0.0, 0.0))), ex.Add(u, ex.Const(complex(-0.0, -0.0)))
     fn = ex.compile_ast((pos, neg))
     w = complex(-0.0, -0.0)
-    assert [_bits(v) for v in fn(w)] == [_bits(pos.eval(w)), _bits(neg.eval(w))]
+    assert [_bits(v) for v in fn(w)] == [_bits(_ref_eval(pos, w)), _bits(_ref_eval(neg, w))]
     assert _bits(fn(w)[0]) != _bits(fn(w)[1])
 
 
@@ -149,18 +277,18 @@ def _stencil_safe(e, points, bound=20.0):
     try:
         for w in points:
             for n in _subnodes(e):
-                v = n.eval(w)
+                v = _ref_eval(n, w)
                 if not cmath.isfinite(v) or abs(v) > bound:
                     return False
-                if isinstance(n, ex.Div) and abs(n.b.eval(w)) < 5e-2:
+                if isinstance(n, ex.Div) and abs(_ref_eval(n.b, w)) < 5e-2:
                     return False
                 if isinstance(n, ex.Call) and n.name in ("log", "sqrt"):
-                    z = n.arg.eval(w)
+                    z = _ref_eval(n.arg, w)
                     if abs(z) < 5e-2 or (z.real < 5e-2 and abs(z.imag) < 5e-2):
                         return False
                 if isinstance(n, ex.Pow):
-                    z = n.base.eval(w)
-                    c = n.exponent.eval(0j)
+                    z = _ref_eval(n.base, w)
+                    c = _ref_eval(n.exponent, 0j)
                     integral = c.imag == 0 and c.real == int(c.real)
                     if not integral and (abs(z) < 5e-2
                                          or (z.real < 5e-2 and abs(z.imag) < 5e-2)):
@@ -180,12 +308,13 @@ def test_fd_matches_symbolic_derivative(e, wr, wi):
     assume(_consts_finite(e))
     assume(_stencil_safe(e, [w, w + h, w - h, w + h / 2, w - h / 2]))
     try:
-        sym = ex.diff(e).eval(w)
+        sym = ex.compile_checked(ex.diff(e))(w)
     except EvalError:
         assume(False)
     assume(abs(sym) < 50)
-    fd = (e.eval(w + h) - e.eval(w - h)) / (2 * h)
-    fd_half = (e.eval(w + h / 2) - e.eval(w - h / 2)) / h
+    f = ex.compile_checked(e)
+    fd = (f(w + h) - f(w - h)) / (2 * h)
+    fd_half = (f(w + h / 2) - f(w - h / 2)) / h
     assume(abs(fd - fd_half) < 5e-7)  # skip points where the stencil has not converged
     assert abs(fd - sym) <= 1e-6
 
@@ -208,7 +337,7 @@ def test_real_coefficients_real_arguments_real_values(e, wr):
     # constants; those trees no longer have real coefficients
     assume(all(n.value.imag == 0 for n in _subnodes(e) if isinstance(n, ex.Const)))
     assume(_stencil_safe(e, [wr]))
-    value = e.eval(wr)
+    value = ex.compile_checked(e)(wr)
     assert abs(value.imag) <= 1e-14 * (1.0 + abs(value))
 
 
@@ -244,7 +373,7 @@ _NATIVE_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 def _eval_bits(e, w):
     try:
-        return _bits(e.eval(w))
+        return _bits(_ref_eval(e, w))
     except EvalError:
         return None
 
@@ -277,3 +406,80 @@ def test_compiled_tuple_is_bitwise_eval(shared, a, b, wr, wi):
             fn(w)
     else:
         assert [_bits(v) for v in fn(w)] == want
+
+
+# ---------------------------------------------------------------------------
+# the walker against the recursive references
+
+def _shape(e):
+    """Nested tuples of node types, names and constant bits (== equates 0.0
+    with -0.0 and no NaN with itself)."""
+    if isinstance(e, ex.Const):
+        return ("Const", _bits(e.value))
+    if isinstance(e, ex.Call):
+        return ("Call", e.name, _shape(e.arg))
+    return (type(e).__name__, *(_shape(kid) for kid in ex._children(e)))
+
+
+@given(e=st.one_of(_ast_strategy(_consts), _raw_ast_strategy()))
+@settings(max_examples=100, deadline=None)
+def test_diff_equals_the_recursive_reference(e):
+    assert _shape(ex.diff(e)) == _shape(_ref_diff(e))
+    assert _shape(ex.diff(ex.diff(e))) == _shape(_ref_diff(_ref_diff(e)))
+
+
+@given(e=st.one_of(_ast_strategy(_consts), _raw_ast_strategy()))
+@settings(max_examples=100, deadline=None)
+def test_to_string_equals_the_recursive_reference(e):
+    assert ex.to_string(e) == _ref_render(e)[0]
+    d = ex.diff(e)
+    assert ex.to_string(d) == _ref_render(d)[0]
+
+
+@given(e=_ast_strategy(_consts))
+@settings(max_examples=50, deadline=None)
+def test_constant_flag_matches_the_tree(e):
+    def has_var(n):
+        return isinstance(n, ex.Var) or any(has_var(kid) for kid in ex._children(n))
+    for n in _subnodes(e):
+        assert n.constant == (not has_var(n))
+    # only a failed fold leaves a constant node that is not a Const
+    if e.constant and not isinstance(e, ex.Const):
+        with pytest.raises(EvalError):
+            _ref_eval(e, 0j)
+
+
+def test_constant_flag_is_not_compared():
+    u = ex.Var()
+    assert ex.Add(u, ex.Const(1j)) == ex.Add(u, ex.Const(1j))
+    assert hash(ex.Add(u, ex.Const(1j))) == hash(ex.Add(u, ex.Const(1j)))
+    assert not ex.Add(u, ex.Const(1j)).constant and ex.Add(ex.Const(1j), ex.Const(1j)).constant
+    with pytest.raises(TypeError):
+        ex.Const(1j, True)
+
+
+def test_folding_keeps_a_failed_fold():
+    pole = ex.parse("1/0")
+    assert pole == ex.Div(ex.Const(1 + 0j), ex.Const(0j)) and pole.constant
+    assert ex.parse("1/0 + 2") == ex.Add(pole, ex.Const(2 + 0j))
+    assert ex.parse("log(0)") == ex.Call("log", ex.Const(0j))
+
+
+def test_deep_sum_parses_differentiates_prints_and_compiles():
+    # a left-deep sum 10^4 levels deep, far past Python's recursion limit
+    terms = 10 ** 4
+    text = "u" + " + 0.001*u*u" * (terms - 1)
+    e = ex.parse(text)
+    assert ex.to_string(e) == text
+    d = ex.diff(e)
+    w = 0.3 - 0.2j
+    sq = complex(0.001) * w * w
+    value = w
+    for _ in range(terms - 1):
+        value = value + sq
+    assert _bits(ex.compile_ast(e)(w)) == _bits(value)
+    dt = complex(0.001) * w
+    slope = 1 + 0j
+    for _ in range(terms - 1):
+        slope = slope + (dt + dt)
+    assert _bits(ex.compile_checked(d)(w)) == _bits(slope)

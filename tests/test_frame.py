@@ -12,14 +12,17 @@ from lightcone.errors import IntegrationError
 
 
 def test_ode_rhs_polynomial_data_at_origin():
+    # the right-hand side M F of the frame equation, at F = I
     wd = bj.WeierstrassData.from_strings("u", "1")  # G = z, omega = beta^2 with beta = 1
-    rhs = fr.ode_rhs(wd, 0.0, np.eye(2, dtype=complex))
+    rhs = fr.coefficient_matrix(wd, 0j) @ np.eye(2, dtype=complex)
     assert np.array_equal(rhs, lz.mat2(0, 0, 1, 0))
 
 
 def test_ode_rhs_linear_in_frame():
+    # M F vanishes at F = 0, so the zero frame does not move
     wd = ct.classification_weierstrass(ct.CatenoidSpec("elliptic", 1.5))
-    assert np.array_equal(fr.ode_rhs(wd, 0.3, np.zeros((2, 2))), np.zeros((2, 2)))
+    assert np.array_equal(fr.integrate_frame(wd, np.zeros((2, 2)), [0.3, 0.5]),
+                          np.zeros((2, 2)))
 
 
 def test_ode_rhs_elliptic_at_origin_matches_direct_evaluation():
@@ -29,7 +32,7 @@ def test_ode_rhs_elliptic_at_origin_matches_direct_evaluation():
     om0 = -1j * (a + 2) ** 2 / 8
     m = om0 * np.array([[g0, -g0 * g0], [1.0, -g0]])
     f = lz.mat2(1, 0, 1, 1)
-    assert np.max(np.abs(fr.ode_rhs(wd, 0.0, f) - m @ f)) <= 1e-14
+    assert np.max(np.abs(fr.coefficient_matrix(wd, 0j) @ f - m @ f)) <= 1e-14
 
 
 def test_coefficient_matrix_is_tracefree_and_singular():
