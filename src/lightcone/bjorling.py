@@ -241,8 +241,11 @@ class WeierstrassData:
 
     @cached_property
     def jet_fn(self):
-        """w -> (G, omega, dG/dw, domega/dw) in one call."""
-        return ex.compile_ast((self.G, self.omega, ex.diff(self.G), ex.diff(self.omega)))
+        """Array w -> (G, omega, dG/dw, domega/dw), four arrays of w's shape,
+        in one numpy call; NaN at every node where an intermediate value is
+        not finite (the compiler's array binding)."""
+        return ex.compile_ast((self.G, self.omega, ex.diff(self.G), ex.diff(self.omega)),
+                              array=True)
 
     @classmethod
     def from_strings(cls, g: str, omega: str, chart: str = "u") -> "WeierstrassData":

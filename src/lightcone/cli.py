@@ -16,7 +16,7 @@ one array pass.  The argument parser is built once per process; every
 `main` call parses afresh.
 
 Exit codes: 0 ok, 2 validation failure (conformality / orientability),
-3 numerical failure, 4 I/O or schema error.
+3 numerical failure, 4 I/O or schema error (a malformed command line too).
 """
 
 from __future__ import annotations
@@ -521,9 +521,18 @@ def run_extend(job: dict, out_flag=None) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error raises SchemaError, so `main` exits 4 with one line
+    instead of argparse printing the usage and exiting 2, the code for a
+    validation failure.  The subparsers are of this class too."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lightcone",
         description="Zero mean curvature surfaces in the 3-dimensional light cone.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -594,8 +603,8 @@ def _job_for(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.mode == "check":
             _require(args.input, "check mode needs --input")
             return run_check(load_job(args.input, mode="check"), tol_override=args.tol)

@@ -5,7 +5,16 @@ coefficient matrix M = omega (G, 1)^T (1, -G) that drives the frame.  M is
 nilpotent (M^2 = 0), so X_zz = M' X and X_zzbar = M X M* are exact too, with
 M' from the symbolic derivatives of G and omega.  Xu, Xv, Xuu, Xuv and Xvv
 come from the stored X by batched 2x2 products, and a whole grid is
-diagnosed in one array pass: nothing is re-integrated or differenced.
+diagnosed in one array pass: one numpy call evaluates the (G, omega) jet of
+every node, and nothing is re-integrated or differenced.
+
+The lightlike normal comes from G in closed form.  With v = (G, 1)^T and
+X = psi psi*, X_z = omega (psi1 - G psi2) v psi*, so n = v v* / <v v*, X>
+is lightlike, orthogonal to Xu and Xv, and has <n, X> = 1; since
+<v v*, X> = -|psi1 - G psi2|^2 / 2, it is defined wherever X_z != 0, that
+is wherever phi^2 > 0.  A node is NaN where the jet is not finite, where
+phi^2 <= PHI2_FLOOR or where n is not finite.  gauss_residual is therefore
+a round-off readout of these identities, not evidence.
 
 The derivatives are Hermitian, so the second fundamental form is real by
 construction (second_form_imag is 0 on every diagnosed node).  H =
@@ -14,9 +23,10 @@ given M, so this H cannot show that an integrated grid has zero mean
 curvature.  That evidence is the chart-free finite-difference oracle
 (mean_curvature_fd): it takes a plain (u, v) -> Herm2 callable in any,
 possibly non-conformal, parametrization (local_surface_sampler makes one
-from a grid node by short frame integrations).  It is also the only route
-for the extension chart of the non-rotational example, whose parameter
-lines are not conformal.
+from a grid node by short frame integrations), and finds its Gauss map from
+the differenced tangent plane alone (gauss_map, a stacked SVD).  It is also
+the only route for the extension chart of the non-rotational example, whose
+parameter lines are not conformal.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from .frame import SurfaceGrid, integrate_frame
 from .lorentz import F3, adjoint, hermitize, minkowski_inner
 
 __all__ = [
-    "PointDiagnostics", "surface_derivatives", "gauss_map",
+    "PointDiagnostics", "surface_derivatives", "lightlike_normal", "gauss_map",
     "gauss_residuals", "second_fundamental", "curvatures", "point_diagnostics",
     "local_surface_sampler", "grid_diagnostics", "chartfree_grid_diagnostics",
     "mean_curvature_fd",
@@ -50,29 +60,13 @@ _VEC_TO_ENTRIES = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 
 def surface_derivatives(wd: WeierstrassData, x: np.ndarray, w):
     """Exact (Xu, Xv, Xuu, Xuv, Xvv) from X_z = M X, X_zz = M' X, X_zzbar = M X M*.
 
-    x is (..., 2, 2) and w has shape (...); every output is Hermitian by
-    construction.  At one point (x of shape (2, 2)) M or M' failing to
-    evaluate to finite values raises IntegrationError; stacked inputs return
-    the mask of nodes where they did as a sixth output, NaN elsewhere.
+    x is (..., 2, 2) and w has shape (...); one jet call serves the stack,
+    and every output is Hermitian by construction.  At one point (x of
+    shape (2, 2)) M or M' failing to evaluate to finite values raises
+    IntegrationError; stacked inputs return the mask of nodes where they did
+    as a sixth output, NaN elsewhere.
     """
-    jet = wd.jet_fn
-    rows = []
-    for wk in np.ravel(w).astype(complex).tolist():
-        try:
-            g, om, dg, dom = jet(wk)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            rows.append((np.nan,) * 8)
-            continue
-        m11, d11 = g * om, dg * om + g * dom   # M as the frame builds it, and M'
-        rows.append((m11, -(g * m11), om, -m11, d11, -(dg * m11 + g * d11), dom, -d11))
-    coef = np.array(rows, dtype=complex).reshape(np.shape(w) + (2, 2, 2))
-    ok = np.isfinite(coef).all(axis=(-3, -2, -1))
-    m, dm = coef[..., 0, :, :], coef[..., 1, :, :]
-    a, b = m @ x, dm @ x          # X_z, X_zz
-    c = a @ adjoint(m)            # X_zzbar
-    a_adj, b_adj = adjoint(a), adjoint(b)
-    b_sum, c_sum = b + b_adj, c + adjoint(c)
-    derivs = (a + a_adj, 1j * (a - a_adj), c_sum + b_sum, 1j * (b - b_adj), c_sum - b_sum)
+    derivs, ok = _derivatives(wd.jet_fn(w), x)
     if np.ndim(x) == 2:
         if not ok:
             raise IntegrationError("coefficient matrix or its derivative is not finite", w)
@@ -80,8 +74,37 @@ def surface_derivatives(wd: WeierstrassData, x: np.ndarray, w):
     return derivs + (ok,)
 
 
+def _derivatives(jet, x):
+    """(Xu, Xv, Xuu, Xuv, Xvv) and the finite-M-and-M' mask from the jet arrays."""
+    g, om, dg, dom = jet
+    m11, d11 = g * om, dg * om + g * dom   # M as the frame builds it, and M'
+    coef = np.stack([m11, -(g * m11), om, -m11, d11, -(dg * m11 + g * d11), dom, -d11],
+                    axis=-1).reshape(np.shape(g) + (2, 2, 2))
+    ok = np.isfinite(coef).all(axis=(-3, -2, -1))
+    m, dm = coef[..., 0, :, :], coef[..., 1, :, :]
+    a, b = m @ x, dm @ x          # X_z, X_zz
+    c = a @ adjoint(m)            # X_zzbar
+    a_adj, b_adj = adjoint(a), adjoint(b)
+    b_sum, c_sum = b + b_adj, c + adjoint(c)
+    return (a + a_adj, 1j * (a - a_adj), c_sum + b_sum, 1j * (b - b_adj), c_sum - b_sum), ok
+
+
+def lightlike_normal(g, x):
+    """n = v v* / <v v*, X> with v = (G, 1)^T, for G of shape (...) and X of
+    shape (..., 2, 2): the Gauss map of the surface of (G, omega) at X, for
+    any omega.  Hermitian by construction; not finite where <v v*, X> = 0,
+    that is where X_z = 0."""
+    p = np.empty(np.shape(g) + (2, 2), dtype=complex)
+    p[..., 0, 0] = g.real * g.real + g.imag * g.imag
+    p[..., 0, 1] = g
+    p[..., 1, 0] = np.conj(g)
+    p[..., 1, 1] = 1.0
+    return p / minkowski_inner(p, x).real[..., None, None]
+
+
 def gauss_map(x: np.ndarray, xu: np.ndarray, xv: np.ndarray):
-    """The unique lightlike n with <n,Xu> = <n,Xv> = <n,n> = 0, <n,X> = 1.
+    """The unique lightlike n with <n,Xu> = <n,Xv> = <n,n> = 0, <n,X> = 1,
+    from the tangent plane alone; the chart-free oracle's Gauss map.
 
     One point ((2, 2) inputs) or stacks ((..., 2, 2) inputs).  One stacked
     SVD gives the minimum-norm solution Y of the three linear conditions; the
@@ -149,18 +172,42 @@ class PointDiagnostics:
     residuals: dict[str, float] = field(default_factory=dict)
 
 
+def _diagnose(wd: WeierstrassData, x: np.ndarray, w: np.ndarray) -> dict:
+    """Every diagnostics quantity of the stacked points x = X(w), by name,
+    with the normal n ("gauss"), the form (lff, mff, nff), the mask of
+    finite jets ("jet_ok") and the mask of diagnosed nodes ("ok")."""
+    with np.errstate(all="ignore"):  # every non-finite value is masked
+        jet = wd.jet_fn(w)
+        (xu, xv, xuu, xuv, xvv), jet_ok = _derivatives(jet, x)
+        phi2, defect = _first_fundamental(xu, xv)
+        n = lightlike_normal(jet[0], x)
+        ok = jet_ok & (phi2 > PHI2_FLOOR) & np.isfinite(n).all(axis=(-2, -1))
+        lff, mff, nff = second_fundamental(xuu, xuv, xvv, n)
+        h_mean, k_gauss = curvatures(np.where(ok, phi2, 1.0), lff, mff, nff)
+        return {"phi2": phi2, "H": h_mean, "K": k_gauss, "conformality_defect": defect,
+                "gauss_residual": np.max(gauss_residuals(x, xu, xv, n), axis=-1),
+                "lightlike_residual": np.abs(minkowski_inner(x, x)),
+                "second_form_imag": np.zeros(ok.shape),
+                "gauss": n, "lff": lff, "mff": mff, "nff": nff, "jet_ok": jet_ok, "ok": ok}
+
+
 def point_diagnostics(wd: WeierstrassData, x: np.ndarray, w: complex) -> PointDiagnostics:
-    """Diagnostics at the surface point x = X(w); raises where grid_diagnostics
-    would leave the node NaN."""
-    xu, xv, xuu, xuv, xvv = surface_derivatives(wd, x, w)
-    phi2, defect = _first_fundamental(xu, xv)
-    n = gauss_map(x, xu, xv)
-    lff, mff, nff = second_fundamental(xuu, xuv, xvv, n)
-    h_mean, k_gauss = curvatures(phi2, lff, mff, nff)
-    residuals = {"gauss": float(np.max(gauss_residuals(x, xu, xv, n))),
-                 "lightlike": float(abs(minkowski_inner(x, x)))}
-    return PointDiagnostics(float(phi2), float(defect), n, float(lff), float(mff),
-                            float(nff), float(h_mean), float(k_gauss), residuals)
+    """Diagnostics at the surface point x = X(w), by the grid route on a
+    one-node stack, with the same bits; raises IntegrationError where the
+    jet is not finite and DegenerateMetricError where phi^2 <= PHI2_FLOOR
+    or n is not finite, exactly where grid_diagnostics leaves a node NaN."""
+    q = {name: values[0] for name, values in
+         _diagnose(wd, np.asarray(x)[None], np.array([w], dtype=complex)).items()}
+    if not q["jet_ok"]:
+        raise IntegrationError("coefficient matrix or its derivative is not finite", w)
+    if not q["ok"]:
+        raise DegenerateMetricError(f"conformal factor too small or normal not finite: "
+                                    f"phi^2 = {q['phi2']:.3e}")
+    return PointDiagnostics(float(q["phi2"]), float(q["conformality_defect"]), q["gauss"],
+                            float(q["lff"]), float(q["mff"]), float(q["nff"]),
+                            float(q["H"]), float(q["K"]),
+                            {"gauss": float(q["gauss_residual"]),
+                             "lightlike": float(q["lightlike_residual"])})
 
 
 def local_surface_sampler(wd: WeierstrassData, f0: np.ndarray, w0: complex,
@@ -176,28 +223,18 @@ def grid_diagnostics(grid: SurfaceGrid, wd: WeierstrassData | None = None) -> Su
     """Fill the per-node diagnostics slots of a grid, in place, in one array pass.
 
     Needs only the stored X and the Weierstrass data (grid.wd by default).  A
-    valid node where M or M' is not finite, the tangent plane is degenerate
-    or phi^2 <= PHI2_FLOOR stays valid with every diagnostics slot NaN.
+    valid node where the (G, omega) jet is not finite, phi^2 <= PHI2_FLOOR or
+    the normal from G is not finite stays valid with every diagnostics slot NaN.
     """
     if wd is None:
         wd = grid.wd
     if wd is None:
         raise ValueError("grid carries no Weierstrass data; pass wd explicitly")
     sel = grid.valid
-    x = grid.X[sel]
-    w = (grid.u[None, :] + 1j * grid.v[:, None])[sel]
-    xu, xv, xuu, xuv, xvv, ok = surface_derivatives(wd, x, w)
-    phi2, defect = _first_fundamental(xu, xv)
-    n, plane_ok = gauss_map(x, xu, xv)
-    ok &= plane_ok & (phi2 > PHI2_FLOOR)
-    h_mean, k_gauss = curvatures(np.where(ok, phi2, 1.0),
-                                 *second_fundamental(xuu, xuv, xvv, n))
-    slots = {"phi2": phi2, "H": h_mean, "K": k_gauss, "conformality_defect": defect,
-             "gauss_residual": np.max(gauss_residuals(x, xu, xv, n), axis=-1),
-             "lightlike_residual": np.abs(minkowski_inner(x, x)),
-             "second_form_imag": np.zeros(ok.shape)}
-    for name, values in slots.items():
-        getattr(grid, name)[sel] = np.where(ok, values, np.nan)
+    q = _diagnose(wd, grid.X[sel], (grid.u[None, :] + 1j * grid.v[:, None])[sel])
+    for name in ("phi2", "H", "K", "conformality_defect", "gauss_residual",
+                 "lightlike_residual", "second_form_imag"):
+        getattr(grid, name)[sel] = np.where(q["ok"], q[name], np.nan)
     return grid
 
 

@@ -25,6 +25,9 @@ without recursion and a shared subtree once.  There is one evaluator, the
 compiler: it emits straight-line code from the operation table `_OPS` and
 `_FUNCS`, and constant folding applies the same table to `Const` children.
 Native errors at poles become EvalError in one place, `compile_checked`.
+The same source also binds to numpy (`compile_ast(e, array=True)`): one call
+then evaluates a whole array of arguments, and a node is NaN where the
+scalar code would raise.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from __future__ import annotations
 import cmath
 import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import EvalError, ParseError
 
@@ -63,14 +68,35 @@ def _cpow(b: complex, c: complex) -> complex:
     return cmath.exp(c * cmath.log(b))
 
 
-def _ipow(b: complex, n: int) -> complex:
+def _ipow(b, n: int):
+    """b^n for n >= 0 by repeated squaring, for a complex or an array b.
+    Never in place: an augmented assignment would write into an array b."""
     r = 1 + 0j
     while n:
         if n & 1:
-            r *= b
-        b *= b
+            r = r * b
+        b = b * b
         n >>= 1
     return r
+
+
+_NAN = complex("nan+nanj")
+
+
+def _cpow_array(b, c):
+    """_cpow on an array base: the same operations, NaN where _cpow raises
+    (a zero base under a negative or non-real exponent, a non-finite
+    exponent)."""
+    if not cmath.isfinite(c):
+        return np.full(np.shape(b), _NAN)
+    if c.imag == 0.0 and c.real == int(c.real) and abs(c.real) <= 512:
+        n = int(c.real)
+        if n == 0:
+            return np.ones(np.shape(b), dtype=complex)
+        # 1/0 gives inf at a zero base, which the caller flags
+        return 1.0 / _ipow(b, -n) if n < 0 else _ipow(b, n)
+    zero_ok = 0j if c.imag == 0.0 and c.real > 0 else _NAN
+    return np.where(b == 0, zero_ok, np.exp(c * np.log(b)))
 
 
 class ExprAST:
@@ -81,6 +107,19 @@ class ExprAST:
     """
 
     __slots__ = ("constant",)
+
+    def __reduce__(self):
+        # pickle rebuilds through the constructor, which sets `constant`:
+        # the dataclass-generated state holds the fields only
+        return type(self), tuple([getattr(self, f.name) for f in fields(self)])
+
+    # immutable, like a tuple of immutables: a copy is the node itself, so
+    # copying a grid that carries a deep tree does not recurse through it
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __post_init__(self):
         kids = _children(self)
@@ -611,9 +650,11 @@ def _emit(roots):
 
 
 _COMPILE_NS = {**_FUNCS, "_cpow": _cpow}
+# numpy's ufuncs of the same names, on the same principal branches
+_ARRAY_NS = {**{name: getattr(np, name) for name in _FUNCS}, "_cpow": _cpow_array}
 
 
-def compile_ast(e):
+def compile_ast(e, array: bool = False):
     """Compile one tree to w -> complex, or a tuple of trees to w -> tuple.
 
     The emitted function is straight-line code with one assignment per
@@ -624,16 +665,39 @@ def compile_ast(e):
     the function raises the native ZeroDivisionError, ValueError or
     OverflowError, for callers inside integrators that know w;
     compile_checked turns these into EvalError.
+
+    array=True binds the same source to numpy instead: the function takes
+    an array w and gives arrays of its shape, new ones (never w itself),
+    constant trees broadcast.  It raises nothing and warns nothing; every
+    output is NaN at each element where any intermediate value is not
+    finite, which covers every place the scalar code raises (numpy gives
+    finite values at some of them, such as 1/exp(w) at w = 800).
     """
     roots = tuple(e) if isinstance(e, tuple) else (e,)
     lines, results, consts = _emit(roots)
-    params = ", ".join([*_COMPILE_NS, *(f"c{k}" for k in range(len(consts)))])
-    ret = f"({', '.join(results)},)" if isinstance(e, tuple) else results[0]
+    ns = _ARRAY_NS if array else _COMPILE_NS
+    params = ", ".join([*ns, *(f"c{k}" for k in range(len(consts)))])
+    ret = f"({', '.join(results)},)" if array or isinstance(e, tuple) else results[0]
+    if array:  # the intermediates too, for the finiteness mask
+        ret += f", ({''.join(f't{k}, ' for k in range(len(lines)))})"
     src = "\n".join([f"def _bind({params}):", "    def compiled(u):", *lines,
                      f"        return {ret}", "    return compiled"])
     scope: dict = {}
     exec(compile(src, "<expr>", "exec"), scope)
-    return scope["_bind"](*_COMPILE_NS.values(), *consts)
+    if not array:
+        return scope["_bind"](*ns.values(), *consts)
+    compiled = scope["_bind"](*ns.values(), *[np.complex128(c) for c in consts])
+
+    def over_array(w):
+        w = np.asarray(w, dtype=complex)
+        with np.errstate(all="ignore"):
+            values, temps = compiled(w)
+            bad = np.zeros(w.shape, dtype=bool)
+            for t in (*values, *temps):
+                bad |= ~np.isfinite(t)
+            out = tuple([np.where(bad, _NAN, v) for v in values])
+        return out if isinstance(e, tuple) else out[0]
+    return over_array
 
 
 def compile_checked(e):

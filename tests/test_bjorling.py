@@ -114,8 +114,8 @@ def test_orientability_rejected_branch(family, p):
 def test_weierstrass_matches_printed_forms(family, p, printed_g, printed_om):
     data = ct.catenoid_bjorling_data(ct.CatenoidSpec(family, p))
     wd = bj.weierstrass_from_bjorling(data)
-    for u in np.linspace(*data.interval, 33):
-        g, om = wd.jet_fn(complex(u))[:2]
+    us = np.linspace(*data.interval, 33)
+    for u, g, om in zip(us, *wd.jet_fn(us)[:2]):
         assert abs(g - printed_g(u)) <= 1e-10 * (1 + abs(g))
         assert abs(om - printed_om(u)) <= 1e-10 * (1 + abs(om))
 
@@ -151,8 +151,7 @@ def test_reconstruction_omega_gamma_equals_lambda():
         data = ct.catenoid_bjorling_data(ct.CatenoidSpec(family, p))
         wd = bj.weierstrass_from_bjorling(data)
         lam_fn = bj.lambda_expr(data).eval
-        for u in data.nodes():
-            g, om = wd.jet_fn(complex(u))[:2]
+        for u, g, om in zip(data.nodes(), *wd.jet_fn(data.nodes())[:2]):
             coef = om * np.array([[g, -g * g], [1.0, -g]])
             lhs = coef @ data.gamma.eval(u)
             lam = lam_fn(u)

@@ -112,18 +112,18 @@ def test_rotational_invariance(family):
 def test_classification_weierstrass_printed_pairs():
     a, b, c = 1.5, 1.5, 0.5
     wd = ct.classification_weierstrass(ct.CatenoidSpec("elliptic", a))
-    for u in np.linspace(0, 2 * np.pi, 9).tolist():
-        g, om = wd.jet_fn(complex(u))[:2]
+    us = np.linspace(0, 2 * np.pi, 9)
+    for u, g, om in zip(us.tolist(), *wd.jet_fn(us)[:2]):
         assert g == pytest.approx((a - 2) / (a + 2) * cmath.exp(2j * u))
         assert om == pytest.approx(-1j * (a + 2) ** 2 / 8 * cmath.exp(-2j * u))
     wd = ct.classification_weierstrass(ct.CatenoidSpec("hyperbolic", b))
-    for u in np.linspace(-1, 1, 9).tolist():
-        g, om = wd.jet_fn(complex(u))[:2]
+    us = np.linspace(-1, 1, 9)
+    for u, g, om in zip(us.tolist(), *wd.jet_fn(us)[:2]):
         assert g == pytest.approx((b + 2j) / (b - 2j) * cmath.exp(2 * u))
         assert om == pytest.approx((b - 2j) ** 2 / 8 * cmath.exp(-2 * u))
     wd = ct.classification_weierstrass(ct.CatenoidSpec("parabolic", c))
-    for u in np.linspace(0.5, 2, 9).tolist():
-        g, om = wd.jet_fn(complex(u))[:2]
+    us = np.linspace(0.5, 2, 9)
+    for u, g, om in zip(us.tolist(), *wd.jet_fn(us)[:2]):
         assert g == pytest.approx(u + 2j / c)
         assert om == pytest.approx(c * c / 4)
 
@@ -134,9 +134,8 @@ def test_catenoid_data_reproduces_classification_data():
         data = ct.catenoid_bjorling_data(ct.CatenoidSpec(family, p))
         wd = bj.weierstrass_from_bjorling(data)
         table = ct.classification_weierstrass(ct.CatenoidSpec(family, p))
-        for u in data.nodes().tolist():
-            g, om = wd.jet_fn(complex(u))[:2]
-            g_ref, om_ref = table.jet_fn(complex(u))[:2]
+        us = data.nodes()
+        for g, om, g_ref, om_ref in zip(*wd.jet_fn(us)[:2], *table.jet_fn(us)[:2]):
             assert abs(g - g_ref) <= 1e-10 * (1 + abs(g_ref))
             assert abs(om - om_ref) <= 1e-10 * (1 + abs(om_ref))
 
@@ -226,8 +225,8 @@ def test_nonrotational_shares_the_parabolic_initial_curve():
 def test_nonrotational_data_gives_printed_weierstrass():
     c = 0.5
     wd = bj.weierstrass_from_bjorling(ct.nonrotational_bjorling_data(c))
-    for u in np.linspace(0.5, 2.0, 33).tolist():
-        g, om = wd.jet_fn(complex(u))[:2]
+    us = np.linspace(0.5, 2.0, 33)
+    for u, g, om in zip(us.tolist(), *wd.jet_fn(us)[:2]):
         assert abs(g - (c + 2j) / c * u) <= 1e-10 * (1 + abs(u))
         assert abs(om - c * c / (4 * u * u)) <= 1e-10
 

@@ -267,10 +267,34 @@ def test_solve_takes_the_grid_flag(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["catenoid", "extend"])
-def test_closed_form_modes_have_no_tol_flag(tmp_path, mode):
+def test_closed_form_modes_have_no_tol_flag(tmp_path, mode, capsys):
+    assert cli.main([mode, "--out", str(tmp_path), "--tol", "1e-3"]) == cli.EXIT_IO
+    assert capsys.readouterr().err == "error: unrecognized arguments: --tol 1e-3\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["bogus"], "argument mode: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: mode"),
+    (["check", "--input", "job.json", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_errors_exit_4_with_one_line(argv, message, capsys):
+    # a usage error is an input error (4), not a validation failure (2)
+    assert cli.main(argv) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_still_exit_0(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main([mode, "--out", str(tmp_path), "--tol", "1e-3"])
-    assert exc.value.code == 2  # argparse usage error
+        cli.main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert (out.startswith("usage: lightcone") if flag == "--help"
+            else out == f"{cli.__version__}\n")
 
 
 def test_long_flat_sum_solves(tmp_path):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from types import SimpleNamespace
@@ -6,6 +8,7 @@ from lightcone import bjorling as bj
 from lightcone import catenoids as ct
 from lightcone import cli
 from lightcone import diagnostics as dg
+from lightcone import expr as ex
 from lightcone import frame as fr
 from lightcone import lorentz as lz
 from lightcone.errors import DegenerateMetricError, IntegrationError
@@ -258,9 +261,10 @@ def test_perturbed_flow_is_a_negative_control():
     data = ct.catenoid_bjorling_data(SPEC)
     wd = bj.weierstrass_from_bjorling(data)
     f0 = lz.frame_from_point(lz.hermitize(data.gamma.eval(np.pi)))
+    g_om = ex.compile_ast((wd.G, wd.omega))  # scalar, once per RK stage
 
     def perturbed_coef(w):
-        g, om = wd.jet_fn(w)[:2]
+        g, om = g_om(w)
         om = om * (1 + 0.1 * w.real)
         m11 = g * om
         return (m11, -(g * m11), om, -m11)
@@ -289,3 +293,144 @@ def test_chartfree_grid_flags_the_degenerate_circle():
     assert np.nanmax(np.abs(grid.H[:, away])) <= 1e-5
     # the metric really is degenerate there: v-speed e^{2cv} ut^2 -> 0
     assert np.allclose(grid.lightlike_residual, 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form normal route against the per-node loop plus SVD it replaced
+
+def _ref_grid_diagnostics(grid, wd):
+    """The previous grid route: a scalar jet call per node, then the stacked
+    SVD Gauss map.  Returns the slots (NaN where the route left them NaN),
+    and the normal and the mask on the valid nodes."""
+    jet = ex.compile_ast((wd.G, wd.omega, ex.diff(wd.G), ex.diff(wd.omega)))
+    sel = grid.valid
+    x = grid.X[sel]
+    w = (grid.u[None, :] + 1j * grid.v[:, None])[sel]
+    rows = []
+    for wk in w.tolist():
+        try:
+            g, om, dg_, dom = jet(wk)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            rows.append((np.nan,) * 8)
+            continue
+        m11, d11 = g * om, dg_ * om + g * dom
+        rows.append((m11, -(g * m11), om, -m11, d11, -(dg_ * m11 + g * d11), dom, -d11))
+    coef = np.array(rows, dtype=complex).reshape(w.shape + (2, 2, 2))
+    ok = np.isfinite(coef).all(axis=(-3, -2, -1))
+    m, dm = coef[..., 0, :, :], coef[..., 1, :, :]
+    a, b = m @ x, dm @ x
+    c = a @ lz.adjoint(m)
+    a_adj, b_adj = lz.adjoint(a), lz.adjoint(b)
+    b_sum, c_sum = b + b_adj, c + lz.adjoint(c)
+    xu, xv, xuu, xuv, xvv = (a + a_adj, 1j * (a - a_adj), c_sum + b_sum,
+                             1j * (b - b_adj), c_sum - b_sum)
+    phi2 = 0.5 * (lz.minkowski_inner(xu, xu).real + lz.minkowski_inner(xv, xv).real)
+    defect = np.maximum(np.abs((lz.minkowski_inner(xu, xu) - lz.minkowski_inner(xv, xv)).real),
+                        2.0 * np.abs(lz.minkowski_inner(xu, xv).real))
+    n, plane_ok = dg.gauss_map(x, xu, xv)
+    ok &= plane_ok & (phi2 > dg.PHI2_FLOOR)
+    h_mean, k_gauss = dg.curvatures(np.where(ok, phi2, 1.0),
+                                    *dg.second_fundamental(xuu, xuv, xvv, n))
+    values = {"phi2": phi2, "H": h_mean, "K": k_gauss, "conformality_defect": defect,
+              "gauss_residual": np.max(dg.gauss_residuals(x, xu, xv, n), axis=-1),
+              "lightlike_residual": np.abs(lz.minkowski_inner(x, x)),
+              "second_form_imag": np.zeros(ok.shape)}
+    slots = {}
+    for name, value in values.items():
+        slots[name] = np.full(sel.shape, np.nan)
+        slots[name][sel] = np.where(ok, value, np.nan)
+    return slots, n, ok
+
+
+def _pole_grid():
+    nu = 0.5
+    wd = bj.WeierstrassData.from_strings("u", f"{(1 - nu * nu) / 4!r}/u^2")
+
+    def surface(u, v):
+        if u == 0.0 and v == 0.0:
+            return 1.0, 0j, 0.0  # F3
+        f = ct.power_type_frame(nu, complex(u, v))
+        x = lz.hermitize(f @ lz.F3 @ f.conj().T)
+        return x[0, 0].real, x[0, 1], x[1, 1].real
+    return cli._closed_form_grid(surface, fr.GridSpec((0.0, 1.0), (-0.5, 0.5), 5, 5), wd)
+
+
+def _degenerate_metric_grid():
+    grid = cli._closed_form_grid(lambda u, v: ct.catenoid_entries(SPEC, u, v),
+                                 fr.GridSpec((0.0, 2 * np.pi), (-0.5, 0.5), 7, 3),
+                                 ct.classification_weierstrass(SPEC))
+    grid.X[1, 3] *= 1e-7
+    return grid
+
+
+ROUTE_GRIDS = ("elliptic 1.5", "hyperbolic 1.5", "parabolic 0.5", "elliptic 3.7",
+               "nonrotational 0.5", "wide nonrotational 1.7", "pole", "degenerate metric")
+
+
+@pytest.fixture(scope="module")
+def route_grids():
+    """The acceptance solves (three families at 41x21, the non-rotational
+    data at 21x11), elliptic a = 3.7, a wide non-rotational solve, the pole
+    grid and the degenerate-metric grid, each with its reference slots."""
+    grids = {}
+    for family, p in (("elliptic", 1.5), ("hyperbolic", 1.5), ("parabolic", 0.5),
+                      ("elliptic", 3.7)):
+        grids[f"{family} {p}"] = fr.solve_bjorling(
+            ct.catenoid_bjorling_data(ct.CatenoidSpec(family, p)),
+            fr.GridSpec(ct.DEFAULT_INTERVALS[family], (-1.0, 1.0), 41, 21))
+    grids["nonrotational 0.5"] = fr.solve_bjorling(
+        ct.nonrotational_bjorling_data(0.5), fr.GridSpec((0.5, 2.0), (-0.5, 0.5), 21, 11))
+    grids["wide nonrotational 1.7"] = fr.solve_bjorling(
+        ct.nonrotational_bjorling_data(1.7), fr.GridSpec((0.25, 3.0), (-1.5, 1.5), 21, 11))
+    grids["pole"] = _pole_grid()
+    grids["degenerate metric"] = _degenerate_metric_grid()
+    return {name: (dg.grid_diagnostics(grid), _ref_grid_diagnostics(grid, grid.wd))
+            for name, grid in grids.items()}
+
+
+@pytest.mark.parametrize("name", ROUTE_GRIDS)
+def test_normal_from_g_matches_the_loop_and_svd_reference(route_grids, name):
+    grid, (ref, n_ref, ok_ref) = route_grids[name]
+    for slot in DIAGNOSTIC_SLOTS:
+        assert np.array_equal(np.isnan(getattr(grid, slot)), np.isnan(ref[slot])), slot
+    assert np.any(ok_ref)
+    # phi2 and K to 1e-12 of their column maximum; the conformality defect is
+    # itself round-off of phi2-sized terms, so phi2 sets its scale
+    for slot, scale in (("phi2", "phi2"), ("K", "K"), ("conformality_defect", "phi2")):
+        bound = 1e-12 * np.nanmax(np.abs(ref[scale]))
+        assert np.nanmax(np.abs(getattr(grid, slot) - ref[slot])) <= bound, slot
+    # both routes are round-off here: the observed maxima are about 1e-12
+    assert np.nanmax(np.abs(grid.H)) <= 1e-10
+    assert np.nanmax(grid.gauss_residual) <= 1e-10
+    sel = grid.valid
+    x = grid.X[sel][ok_ref]
+    w = (grid.u[None, :] + 1j * grid.v[:, None])[sel][ok_ref]
+    n = dg.lightlike_normal(grid.wd.jet_fn(w)[0], x)
+    scale = np.max(np.abs(n_ref[ok_ref]), axis=(-2, -1))
+    assert np.max(np.max(np.abs(n - n_ref[ok_ref]), axis=(-2, -1)) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ROUTE_GRIDS)
+def test_point_diagnostics_is_the_grid_node_bit_for_bit(route_grids, name):
+    grid, _ = route_grids[name]
+    for iv, iu in zip(*np.nonzero(grid.valid)):
+        x, w = grid.X[iv, iu], complex(grid.u[iu], grid.v[iv])
+        if np.isnan(grid.phi2[iv, iu]):
+            with pytest.raises((IntegrationError, DegenerateMetricError)):
+                dg.point_diagnostics(grid.wd, x, w)
+            continue
+        pd = dg.point_diagnostics(grid.wd, x, w)
+        got = (pd.phi2, pd.H, pd.K, pd.conformality_defect, pd.residuals["gauss"],
+               pd.residuals["lightlike"])
+        want = tuple(getattr(grid, slot)[iv, iu] for slot in DIAGNOSTIC_SLOTS[:6])
+        assert got == want
+
+
+def test_a_deep_copied_grid_diagnoses_like_the_original():
+    data = ct.nonrotational_bjorling_data(0.5)
+    grid = fr.solve_bjorling(data, fr.GridSpec((0.5, 2.0), (-0.4, 0.4), 5, 3))
+    twin = copy.deepcopy(grid)
+    dg.grid_diagnostics(grid)
+    dg.grid_diagnostics(twin)
+    for slot in DIAGNOSTIC_SLOTS:
+        assert np.array_equal(getattr(grid, slot), getattr(twin, slot), equal_nan=True), slot

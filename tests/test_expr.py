@@ -1,7 +1,11 @@
 import cmath
+import copy
+import functools
 import math
+import pickle
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -458,6 +462,23 @@ def test_constant_flag_is_not_compared():
         ex.Const(1j, True)
 
 
+@pytest.mark.parametrize("text", ["exp(2*i*u) + 1/u", "1/0 + u^0.5", "u", "2*i"])
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_copies_keep_equality_the_constant_flag_and_the_text(text, how):
+    e = ex.parse(text)
+    c = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+         "pickle": lambda n: pickle.loads(pickle.dumps(n))}[how](e)
+    assert c == e and ex.to_string(c) == ex.to_string(e)
+    assert [n.constant for n in _subnodes(c)] == [n.constant for n in _subnodes(e)]
+    # the copy builds and differentiates like the original
+    assert ex.add(c, ex.var()) == ex.add(e, ex.var()) and ex.diff(c) == ex.diff(e)
+
+
+def test_deep_copy_of_a_deep_tree_does_not_recurse():
+    e = ex.parse("1" + "+0.001*u-0.001*u" * 500)
+    assert copy.deepcopy(e) is e
+
+
 def test_folding_keeps_a_failed_fold():
     pole = ex.parse("1/0")
     assert pole == ex.Div(ex.Const(1 + 0j), ex.Const(0j)) and pole.constant
@@ -483,3 +504,129 @@ def test_deep_sum_parses_differentiates_prints_and_compiles():
     for _ in range(terms - 1):
         slope = slope + (dt + dt)
     assert _bits(ex.compile_checked(d)(w)) == _bits(slope)
+
+
+# ---------------------------------------------------------------------------
+# the array binding against the scalar one
+
+def _scalar_or_none(fn, w):
+    """The scalar binding's value at w, or None where it raises or is not finite."""
+    try:
+        values = fn(complex(w))
+    except _NATIVE_ERRORS:
+        return None
+    values = values if isinstance(values, tuple) else (values,)
+    return values if all(cmath.isfinite(v) for v in values) else None
+
+
+def _assert_array_matches_scalar(e, w):
+    """Each array value within 1e-13 (1 + max|scalar|) of the scalar one, and
+    NaN exactly where the scalar code raises or gives a non-finite value."""
+    w = np.asarray(w, dtype=complex)
+    before = w.copy()
+    got = ex.compile_ast(e, array=True)(w)
+    assert np.array_equal(w, before, equal_nan=True)  # the input is untouched
+    got = got if isinstance(got, tuple) else (got,)
+    assert all(g.shape == w.shape for g in got)
+    scalar = ex.compile_ast(e)
+    want = [_scalar_or_none(scalar, wk) for wk in w.ravel().tolist()]
+    for k, g in enumerate(got):
+        g = g.ravel()
+        assert np.array_equal(np.isnan(g), [s is None for s in want])
+        s = np.array([v[k] for v in want if v is not None])
+        if s.size:
+            assert np.max(np.abs(g[~np.isnan(g)] - s)) <= 1e-13 * (1.0 + np.max(np.abs(s)))
+
+
+def _jet(wd):
+    return (wd.G, wd.omega, ex.diff(wd.G), ex.diff(wd.omega))
+
+
+@functools.cache
+def _array_pool():
+    """README entries, the jets of the catenoid and non-rotational data from
+    the classification table and from extraction, and pole cases."""
+    from lightcone import bjorling as bj
+    from lightcone import catenoids as ct
+    pool = [ex.parse(t) for t in ("1", "exp(2*i*u)", "exp(-2*i*u)", "-0.5",
+                                  "1.5*exp(2*i*u)", "1.5*exp(-2*i*u)", "3.5",
+                                  "1/u^2", "log(u)", "sqrt(u) + u^0.5", "u^-3 + cosh(u)")]
+    for family, p in (("elliptic", 1.5), ("hyperbolic", 1.5), ("parabolic", 0.5)):
+        spec = ct.CatenoidSpec(family, p)
+        pool.append(_jet(ct.classification_weierstrass(spec)))
+        pool.append(_jet(bj.weierstrass_from_bjorling(ct.catenoid_bjorling_data(spec))))
+    pool.append(_jet(ct.nonrotational_weierstrass_wchart(0.5)))
+    pool.append(_jet(bj.weierstrass_from_bjorling(ct.nonrotational_bjorling_data(0.5))))
+    return pool
+
+
+_bounded = st.floats(-2, 2)
+_points = st.lists(st.one_of(st.just(0j), st.builds(complex, _bounded, _bounded)),
+                   min_size=1, max_size=6)
+
+
+@given(k=st.integers(0, 21), w=_points)
+@settings(max_examples=60, deadline=None)
+def test_array_binding_matches_the_scalar_binding_on_the_pool(k, w):
+    pool = _array_pool()
+    _assert_array_matches_scalar(pool[k % len(pool)], w)
+
+
+def _term(c, kind, k):
+    """c u^k or c exp(k u)."""
+    if kind == "poly":
+        return ex.mul(ex.const(c), ex.pow_(ex.var(), ex.const(k)))
+    return ex.mul(ex.const(c), ex.call("exp", ex.mul(ex.const(k), ex.var())))
+
+
+_terms = st.builds(_term, st.builds(complex, _floats, _floats), st.sampled_from(["poly", "exp"]),
+                   st.integers(-2, 5))
+
+
+@given(terms=st.lists(_terms, min_size=1, max_size=4), factor=_terms, w=_points)
+@settings(max_examples=60, deadline=None)
+def test_array_binding_matches_the_scalar_binding_on_sums_of_terms(terms, factor, w):
+    total = terms[0]
+    for t in terms[1:]:
+        total = ex.add(total, t)
+    _assert_array_matches_scalar((total, ex.mul(total, factor), ex.diff(total)), w)
+
+
+def test_array_binding_never_squares_in_place():
+    w = np.array([0.5 + 0.25j, -2.0, 3j, 0j])
+    before = w.copy()
+    got = ex.compile_ast(ex.parse("u^3 + u"), array=True)(w)
+    assert np.array_equal(w, before)
+    assert np.max(np.abs(got - (w * w * w + w))) <= 1e-15 * np.max(np.abs(got))
+    # a root that is the variable itself comes back as a new array
+    same = ex.compile_ast(ex.var(), array=True)(w)
+    assert np.array_equal(same, w) and same is not w
+
+
+def test_constant_roots_broadcast_to_the_shape_of_w():
+    w = np.zeros((3, 2), dtype=complex)
+    one, two = ex.compile_ast((ex.parse("2*i"), ex.parse("u + 1")), array=True)(w)
+    assert one.shape == two.shape == (3, 2)
+    assert np.all(one == 2j) and np.all(two == 1)
+    assert ex.compile_ast(ex.parse("3"), array=True)(w).shape == (3, 2)
+
+
+@pytest.mark.parametrize("text, w_bad", [
+    ("1/u^2", 0j), ("log(u)", 0j), ("exp(log(u))", 0j), ("u^-1", 0j),
+    ("1/exp(u)", 800 + 0j), ("u^(0.5+i)", 0j), ("sinh(u)", 800 + 0j)])
+def test_array_binding_is_nan_exactly_where_the_scalar_code_raises(text, w_bad):
+    # numpy gives 0 for 1/exp(800) and for exp(log(0)); both must be NaN
+    e = ex.parse(text)
+    with pytest.raises(_NATIVE_ERRORS):
+        ex.compile_ast(e)(w_bad)
+    _assert_array_matches_scalar(e, [w_bad, 1.0, 0.5 + 0.5j])
+
+
+def test_array_binding_keeps_the_finite_values_at_a_zero_base():
+    w = np.array([0j, 2.0])
+    assert ex.compile_ast(ex.parse("u^0.5"), array=True)(w)[0] == 0
+    assert ex.compile_ast(ex.parse("u^2"), array=True)(w)[0] == 0
+    raw_zeroth = ex.Pow(ex.var(), ex.Const(0j))  # the parser folds u^0 away
+    assert np.array_equal(ex.compile_ast(raw_zeroth, array=True)(w), [1, 1])
+    for e in (ex.parse("u^0.5"), ex.parse("u^2"), raw_zeroth):
+        _assert_array_matches_scalar(e, w)

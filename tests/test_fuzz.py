@@ -1,4 +1,5 @@
-"""Random job documents, argv and grid files through cli.main, in process.
+"""Random job documents, argv (well-formed and malformed) and grid files
+through cli.main, in process.
 
 Every run must end with exit 0, 2, 3 or 4, let no exception escape, and
 print at most one line on stderr.  Expressions come from a fixed pool and
@@ -113,10 +114,20 @@ NPZ_EDITS = [
 ]
 
 
+# pieces of malformed command lines; no --out, so no drawn argv writes files,
+# and no --help or --version, which exit through argparse by design
+ARGV_TOKENS = ["check", "solve", "catenoid", "extend", "diagnose", "bogus", "--input",
+               "--tol", "abc", "nan", "--grid", "1,2", "--family", "elliptic", "hyperbolic",
+               "--param", "x", "--gauge-test", "--bogus", "-z", "", "--"]
+
+
 @st.composite
 def _cases(draw):
-    mode = draw(st.sampled_from(["check", "solve", "catenoid", "extend", "diagnose"]))
+    mode = draw(st.sampled_from(["check", "solve", "catenoid", "extend", "diagnose", "argv"]))
     case = {"mode": mode}
+    if mode == "argv":
+        case["argv"] = draw(st.lists(st.sampled_from(ARGV_TOKENS), max_size=5))
+        return case
     if mode == "diagnose":
         case["grid"] = draw(st.sampled_from(["catenoid", "extension"]))
         case["edits"] = draw(st.sampled_from(NPZ_EDITS))
@@ -169,7 +180,9 @@ def _edited_grid(source: Path, edits, path: Path) -> str:
 
 
 def _run(case, stored, tmp: Path):
-    if case["mode"] == "diagnose":
+    if case["mode"] == "argv":
+        argv = case["argv"]
+    elif case["mode"] == "diagnose":
         argv = ["diagnose", "--input",
                 _edited_grid(stored[case["grid"]], case["edits"], tmp / "grid.npz"),
                 "--out", str(tmp / "out")]
@@ -199,6 +212,8 @@ _ADMISSIBLE = {"bjorling": {"gamma": README_GAMMA, "tangent": README_TANGENT,
 @example(case={"mode": "diagnose", "grid": "catenoid", "edits": NPZ_EDITS[1]})
 @example(case={"mode": "diagnose", "grid": "extension", "edits": NPZ_EDITS[3]})
 @example(case={"mode": "diagnose", "grid": "catenoid", "edits": NPZ_EDITS[5]})
+@example(case={"mode": "argv", "argv": ["check", "--tol", "abc"]})
+@example(case={"mode": "argv", "argv": []})
 @settings(max_examples=40, deadline=None)
 def test_every_run_ends_with_an_exit_code_and_one_line(stored_grids, case):
     with tempfile.TemporaryDirectory() as tmp:
