@@ -127,15 +127,30 @@ def catenoid_bjorling_data(spec: CatenoidSpec, flip_tangent_sign: bool = False,
     return BjorlingData(gamma, tangent, DEFAULT_INTERVALS[spec.family], samples)
 
 
-def catenoid_entries(spec: CatenoidSpec, u: float, v: float) -> tuple:
-    """(m11, m12, m22) of the catenoid's closed form at (u, v)."""
+def _exp(z):
+    """e^z of a complex number (cmath) or of a complex array (numpy's complex
+    exp, which gives cmath's bits node by node)."""
+    return cmath.exp(z) if isinstance(z, complex) else np.exp(z)
+
+
+def _real_exp(x):
+    """e^x of a float (math.exp) or of a float array, with math.exp's bits
+    node by node: numpy's complex exp of x + 0i evaluates the C library's
+    exp, while its real exp is a vectorized kernel that can differ from it
+    in the last bit."""
+    return math.exp(x) if isinstance(x, float) else np.exp(x + 0j).real
+
+
+def catenoid_entries(spec: CatenoidSpec, u, v) -> tuple:
+    """(m11, m12, m22) of the catenoid's closed form at (u, v); u and v are
+    floats or broadcastable arrays, with the same bits node by node."""
     p = spec.param
     if spec.family == "elliptic":
-        return math.exp((p - 2) * v), cmath.exp(2j * u + p * v), math.exp((p + 2) * v)
+        return _real_exp((p - 2) * v), _exp(2j * u + p * v), _real_exp((p + 2) * v)
     if spec.family == "hyperbolic":
-        return math.exp(2 * u + p * v), cmath.exp((p + 2j) * v), math.exp(-2 * u + p * v)
+        return _real_exp(2 * u + p * v), _exp((p + 2j) * v), _real_exp(-2 * u + p * v)
     if spec.family == "parabolic":
-        s = math.exp(p * v)
+        s = _real_exp(p * v)
         return s * (u * u + v * v), s * (u + 1j * v), s
     raise ValidationError(f"unknown family {spec.family!r}")
 
@@ -199,12 +214,13 @@ def polynomial_type_frame(beta: complex, z: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the non-rotational example and its extension across a lightlike circle
 
-def nonrotational_entries(c: float, u: float, v: float) -> tuple:
-    """(m11, m12, m22) of nonrotational_closed_form(c, u, v)."""
+def nonrotational_entries(c: float, u, v) -> tuple:
+    """(m11, m12, m22) of nonrotational_closed_form(c, u, v); u and v are
+    floats or broadcastable arrays, with the same bits node by node."""
     if c == 0:
         raise ValidationError("parameter c must be nonzero")
-    s = math.exp(c * v)
-    return s * math.exp(2 * u), s * cmath.exp(u + 1j * v), s
+    s = _real_exp(c * v)
+    return s * _real_exp(2 * u), s * _exp(u + 1j * v), s
 
 
 def nonrotational_closed_form(c: float, u: float, v: float) -> np.ndarray:

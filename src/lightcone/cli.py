@@ -5,18 +5,21 @@ README for the schema and one example per mode.  Outputs per run directory:
 
     surface.obj       projected mesh (stereographic image of the grid)
     diagnostics.csv   one row per node, fixed column order, %.12g floats
-    grid.npz          raw grid (frames, surface, validity) for `diagnose`
+    grid.npz          raw grid (surface, validity, frames if any) for `diagnose`
     report.json       worst residuals and run summary
 
-The writers work on whole arrays: one stacked stereographic projection per
-mesh and one %-template per row, giving the bytes a per-node loop with
-f"{float(x):.12g}" gives.  Closed-form grids are filled from the scalar
-entries of their formulas (math/cmath, as the public closed forms use) in
-one array pass.  The argument parser is built once per process; every
+One helper (_emit) writes a grid's mesh, CSV and grid.npz and returns its
+report section, for every mode.  The writers work on whole arrays: one
+stacked stereographic projection per mesh, each grid coordinate and vertex
+index formatted once and one %-template per row, giving the bytes a
+per-node loop with f"{float(x):.12g}" gives.  Closed-form grids come from
+one call of their entries on the arrays of all nodes, with the bits of the
+per-node formulas.  The argument parser is built once per process; every
 `main` call parses afresh.
 
-Exit codes: 0 ok, 2 validation failure (conformality / orientability),
-3 numerical failure, 4 I/O or schema error (a malformed command line too).
+Exit codes: 0 ok, 2 validation failure (conformality / orientability, or a
+solved seam that misses the data), 3 numerical failure, 4 I/O or schema
+error (a malformed command line too).
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .catenoids import (DEFAULT_PARAMS, FAMILIES, CatenoidSpec,
 # because the benchmark tracer (perfbench/spans.py) patches them in cli.
 from .catenoids import catenoid_closed_form, nonrotational_closed_form  # noqa: F401
 from .diagnostics import chartfree_grid_diagnostics, grid_diagnostics
-from .errors import (DataInconsistencyError, IntegrationError, LightconeError,
-                     ParseError, ValidationError)
+from .errors import (DataInconsistencyError, DomainError, IntegrationError,
+                     LightconeError, ParseError, ValidationError)
 from .frame import GridSpec, SurfaceGrid, solve_bjorling
 from .lorentz import F3, mat2, stereographic_project
 
@@ -66,7 +69,8 @@ DEFAULT_GRIDS = {
 CSV_COLUMNS = ("u", "v", "valid", "phi2", "H", "K", "conformality_defect",
                "lightlike_residual", "gauss_residual", "second_form_imag",
                "det_drift")
-_CSV_ROW = ",".join(["%.12g"] * 2 + ["%d"] + ["%.12g"] * (len(CSV_COLUMNS) - 3))
+# one row; u and v arrive as text, each formatted once per grid line
+_CSV_ROW = ",".join(["%s"] * 2 + ["%d"] + ["%.12g"] * (len(CSV_COLUMNS) - 3))
 
 # Largest node count of one grid (n_u * n_v, or n_utilde * n_v for the
 # extension chart), and of any count.  A grid holds its frames and surface
@@ -74,6 +78,14 @@ _CSV_ROW = ",".join(["%.12g"] * 2 + ["%d"] + ["%.12g"] * (len(CSV_COLUMNS) - 3))
 # the frame route integrates every node, so 10^6 nodes already mean 200 MB
 # and minutes of work; a larger count is a typo, rejected before any work.
 MAX_NODES = 10 ** 6
+
+# grid.npz layout written by save_grid; load_grid also reads format 1
+GRID_FORMAT = 2
+
+# the seam gate of solve: criterion 4's bounds on |X(u,0) - gamma(u)| and
+# |X_v(u,0) - L(u)|, relative to 1 + max|gamma| and 1 + max|L| on the seam
+SEAM_CURVE_TOL = 1e-8
+SEAM_TANGENT_TOL = 1e-6
 
 
 class SchemaError(LightconeError):
@@ -229,12 +241,13 @@ def write_obj(path: Path, x_grid: np.ndarray, valid: np.ndarray) -> dict:
     lines = ["v %.12g %.12g %.12g" % p
              for p in zip(a[valid].tolist(), b[valid].tolist(), c[valid].tolist())]
     n_vertices = len(lines)
-    index = np.zeros(valid.shape, dtype=np.int64)
-    index[valid] = np.arange(1, n_vertices + 1)
+    # each vertex's 1-based index, as text, at its grid node
+    names = np.full(valid.shape, "", dtype=object)
+    names[valid] = [str(k) for k in range(1, n_vertices + 1)]
     quad = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
-    corners = (index[:-1, :-1][quad], index[:-1, 1:][quad],
-               index[1:, 1:][quad], index[1:, :-1][quad])
-    lines += ["f %d %d %d\nf %d %d %d" % (v00, v10, v11, v00, v11, v01)
+    corners = (names[:-1, :-1][quad], names[:-1, 1:][quad],
+               names[1:, 1:][quad], names[1:, :-1][quad])
+    lines += [f"f {v00} {v10} {v11}\nf {v00} {v11} {v01}"
               for v00, v10, v11, v01 in zip(*(k.tolist() for k in corners))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return {"vertices": n_vertices, "faces": 2 * (len(lines) - n_vertices)}
@@ -249,34 +262,45 @@ def write_polyline_obj(path: Path, x_points: np.ndarray) -> None:
 
 
 def write_csv(path: Path, grid: SurfaceGrid) -> None:
-    """One row per node in row-major (v, u) order.  '%.12g' % x prints what
-    f"{float(x):.12g}" prints, for NaN, inf and -0.0 too."""
-    u, v = np.meshgrid(np.asarray(grid.u, dtype=float), np.asarray(grid.v, dtype=float))
-    columns = [u, v, np.asarray(grid.valid, dtype=bool)]
-    columns += [np.asarray(getattr(grid, name), dtype=float) for name in CSV_COLUMNS[3:]]
+    """One row per node in row-major (v, u) order, each coordinate formatted
+    once.  '%.12g' % x prints what f"{float(x):.12g}" prints, for NaN, inf
+    and -0.0 too."""
+    u_text = ["%.12g" % x for x in np.asarray(grid.u, dtype=float).tolist()]
+    v_text = ["%.12g" % x for x in np.asarray(grid.v, dtype=float).tolist()]
+    columns = [u_text * len(v_text), [vt for vt in v_text for _ in u_text],
+               np.asarray(grid.valid, dtype=bool).ravel().tolist()]
+    columns += [np.asarray(getattr(grid, name), dtype=float).ravel().tolist()
+                for name in CSV_COLUMNS[3:]]
     rows = [",".join(CSV_COLUMNS)]
-    rows += [_CSV_ROW % row for row in zip(*(col.ravel().tolist() for col in columns))]
+    rows += map(_CSV_ROW.__mod__, zip(*columns))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def save_grid(path: Path, grid: SurfaceGrid, kind: str, meta: dict) -> None:
-    payload = {
-        "kind": np.array(kind),
-        "u": grid.u, "v": grid.v, "F": grid.F, "X": grid.X,
-        "valid": grid.valid, "det_drift": grid.det_drift,
-        "meta_json": np.array(json.dumps(meta, sort_keys=True)),
-    }
-    if grid.wd is not None:
-        payload["G_str"] = np.array(str(grid.wd.G))
-        payload["omega_str"] = np.array(str(grid.wd.omega))
+def save_grid(path: Path, grid: SurfaceGrid, kind: str, meta: dict,
+              weierstrass: dict | None = None) -> None:
+    """grid.npz, format 2: u, v, X and valid, and meta_json, the JSON object
+    of meta with "format": 2, the kind and, for a grid with Weierstrass data,
+    its "G" and "omega" strings (weierstrass).  F and det_drift are written
+    only for a grid that carries a frame, that is, where det_drift is finite
+    anywhere."""
+    header = dict(meta, format=GRID_FORMAT, kind=kind, **(weierstrass or {}))
+    payload = {"u": grid.u, "v": grid.v, "X": grid.X, "valid": grid.valid,
+               "meta_json": np.array(json.dumps(header, sort_keys=True))}
+    if np.isfinite(grid.det_drift).any():
+        payload["F"], payload["det_drift"] = grid.F, grid.det_drift
     np.savez(path, **payload)
 
 
 def load_grid(path: Path):
-    """(grid, kind, meta) from a grid.npz.  Every array must have the shape
-    and kind of dtype save_grid writes, meta_json must hold a JSON object,
-    and the extend kinds must carry a finite param; anything else is a
-    SchemaError."""
+    """(grid, kind, meta) from a grid.npz of format 2 or format 1.
+
+    Format 2 keeps the kind and the G/omega strings in meta_json and F and
+    det_drift only for frame grids; format 1 (meta_json without "format")
+    has kind, F and det_drift members and optional G_str/omega_str.  Every
+    array must have the shape and kind of dtype save_grid writes, meta_json
+    must hold a JSON object, and the extend kinds must carry a finite param;
+    anything else is a SchemaError.  meta comes back without the format's
+    own keys, and a grid without a frame gets NaN F and det_drift."""
     try:
         npz = np.load(path, allow_pickle=False)
         _require(isinstance(npz, np.lib.npyio.NpzFile), f"grid file {path} is not an .npz archive")
@@ -284,7 +308,29 @@ def load_grid(path: Path):
             raw = dict(npz.items())
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise SchemaError(f"cannot read grid file {path}: {exc}") from exc
-    for key in ("kind", "u", "v", "F", "X", "valid", "det_drift", "meta_json"):
+    _require("meta_json" in raw, "grid file is missing array 'meta_json'")
+    try:
+        meta = json.loads(str(raw["meta_json"]))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"grid file: meta_json is not JSON: {exc}") from exc
+    _require(isinstance(meta, dict), "grid file: meta_json must be a JSON object")
+    if "format" in meta:
+        _require(meta.pop("format") == GRID_FORMAT,
+                 f"grid file: unsupported format in meta_json (this reads {GRID_FORMAT} and 1)")
+        kind, g_str, om_str = (meta.pop(key, None) for key in ("kind", "G", "omega"))
+        _require(isinstance(kind, str), "grid file: meta_json needs a kind string")
+        _require((g_str is None) == (om_str is None), "grid file: meta_json needs G and omega")
+        _require(g_str is None or (isinstance(g_str, str) and isinstance(om_str, str)),
+                 "grid file: meta_json G and omega must be strings")
+        _require(("F" in raw) == ("det_drift" in raw),
+                 "grid file: F and det_drift must be stored together")
+        members = ("u", "v", "X", "valid")
+    else:
+        members = ("kind", "u", "v", "F", "X", "valid", "det_drift")
+        kind = str(raw.get("kind"))
+        g_str = str(raw["G_str"]) if "G_str" in raw and "omega_str" in raw else None
+        om_str = str(raw["omega_str"]) if g_str is not None else None
+    for key in members:
         _require(key in raw, f"grid file is missing array {key!r}")
     u, v = raw["u"], raw["v"]
     _require(u.ndim == 1 and v.ndim == 1, "grid file: u and v must be 1-d arrays")
@@ -292,22 +338,19 @@ def load_grid(path: Path):
     for key, shape, dtype in (("u", u.shape, float), ("v", v.shape, float),
                               ("F", nodes + (2, 2), complex), ("X", nodes + (2, 2), complex),
                               ("valid", nodes, bool), ("det_drift", nodes, float)):
+        if key not in raw:
+            continue  # F and det_drift of a frame-free format-2 grid
         arr = raw[key]
         _require(arr.shape == shape and np.can_cast(arr.dtype, dtype, "same_kind"),
                  f"grid file: {key} is {arr.dtype} of shape {arr.shape}, "
                  f"expected {np.dtype(dtype)} of shape {shape}")
-    kind = str(raw["kind"])
-    try:
-        meta = json.loads(str(raw["meta_json"]))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"grid file: meta_json is not JSON: {exc}") from exc
-    _require(isinstance(meta, dict), "grid file: meta_json must be a JSON object")
     if kind.startswith("extend-"):
         _number(meta.get("param"), "grid file: meta param")
-    grid = SurfaceGrid(u=u, v=v, F=raw["F"], X=raw["X"],
-                       valid=raw["valid"], det_drift=raw["det_drift"])
-    if "G_str" in raw and "omega_str" in raw:
-        grid.wd = WeierstrassData.from_strings(str(raw["G_str"]), str(raw["omega_str"]))
+    grid = SurfaceGrid(u=u, v=v, X=raw["X"], valid=raw["valid"],
+                       F=raw["F"] if "F" in raw else np.full(nodes + (2, 2), np.nan, complex),
+                       det_drift=raw["det_drift"] if "det_drift" in raw else np.full(nodes, np.nan))
+    if g_str is not None:
+        grid.wd = WeierstrassData.from_strings(g_str, om_str)
     return grid, kind, meta
 
 
@@ -331,6 +374,27 @@ def _grid_summary(grid: SurfaceGrid) -> dict:
 
 def write_report(path: Path, report: dict) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _emit(out: Path, grid: SurfaceGrid, files, kind: str | None = None,
+          meta: dict | None = None, weierstrass: bool = False) -> dict:
+    """Write a grid's mesh, CSV and .npz into out and return its report
+    section.  files names the three; None skips a file (diagnose rewrites
+    only the CSV).  The section holds the mesh counts where a mesh is
+    written, the summary and, if weierstrass is set, the grid's G and omega
+    strings; they are made once, for the section and the .npz alike."""
+    obj_name, csv_name, npz_name = files
+    strings = None
+    if grid.wd is not None and (weierstrass or npz_name):
+        strings = {"G": str(grid.wd.G), "omega": str(grid.wd.omega)}
+    section = {"weierstrass": strings} if weierstrass else {}
+    if obj_name:
+        section["mesh"] = write_obj(out / obj_name, grid.X, grid.valid)
+    write_csv(out / csv_name, grid)
+    if npz_name:
+        save_grid(out / npz_name, grid, kind, meta, strings)
+    section["summary"] = _grid_summary(grid)
+    return section
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +460,9 @@ def run_solve(job: dict, out_flag=None, gauge_test=False, renormalize_det=False,
     if not np.any(grid.valid):
         print("integration failed on the whole grid")
         return EXIT_NUMERICAL
+    _gate_seam(data, grid)
     grid_diagnostics(grid)
-    report = {"mode": "solve", "version": __version__,
-              "weierstrass": {"G": str(wd.G), "omega": str(wd.omega)},
-              "summary": _grid_summary(grid)}
+    report = {"mode": "solve", "version": __version__}
     if gauge_test:
         twisted = solve_bjorling(data, grid_spec, wd=wd, initial_twist=GAUGE_TEST_TWIST,
                                  renormalize_det=renorm)
@@ -408,14 +471,33 @@ def run_solve(job: dict, out_flag=None, gauge_test=False, renormalize_det=False,
         report["gauge_test_max_deviation"] = dev
         if dev is not None:
             print(f"gauge test: max |X - X_twisted| = {dev:.3e}")
-    mesh = write_obj(out / "surface.obj", grid.X, grid.valid)
-    write_csv(out / "diagnostics.csv", grid)
-    save_grid(out / "grid.npz", grid, "bjorling", {"samples": data.samples,
-                                                   "interval": list(data.interval)})
-    report["mesh"] = mesh
+    report.update(_emit(out, grid, ("surface.obj", "diagnostics.csv", "grid.npz"), "bjorling",
+                        {"samples": data.samples, "interval": list(data.interval)},
+                        weierstrass=True))
     write_report(out / "report.json", report)
+    mesh = report["mesh"]
     print(f"solve: wrote {mesh['vertices']} vertices, {mesh['faces']} faces to {out}")
     return EXIT_OK
+
+
+def _gate_seam(data: BjorlingData, grid: SurfaceGrid) -> None:
+    """Raise DataInconsistencyError (exit 2) where the solved seam misses the
+    data: the curve residual above SEAM_CURVE_TOL (1 + max|gamma|) or the
+    tangent residual above SEAM_TANGENT_TOL (1 + max|L|), over the seam
+    nodes where each residual is finite."""
+    for name, residual, matrix, symbol, tol in (
+            ("curve", grid.boundary_curve_residual, data.gamma, "gamma", SEAM_CURVE_TOL),
+            ("tangent", grid.boundary_tangent_residual, data.tangent, "L", SEAM_TANGENT_TOL)):
+        seam = np.flatnonzero(np.isfinite(residual))
+        if not seam.size or np.max(residual[seam]) <= tol:
+            continue  # within the bound whatever the scale
+        bound = tol * (1.0 + max(float(np.max(np.abs(matrix.eval(grid.u[i]))))
+                                 for i in seam.tolist()))
+        worst = seam[np.argmax(residual[seam])]
+        if residual[worst] > bound:
+            raise DataInconsistencyError(
+                f"boundary {name} residual exceeds {tol:g} * (1 + max|{symbol}|) = "
+                f"{bound:.3e} on the seam", float(grid.u[worst]), float(residual[worst]))
 
 
 def run_catenoid(job: dict, out_flag=None) -> int:
@@ -428,33 +510,36 @@ def run_catenoid(job: dict, out_flag=None) -> int:
     wd = classification_weierstrass(spec)
     grid = _closed_form_grid(lambda u, v: catenoid_entries(spec, u, v), grid_spec, wd)
     grid_diagnostics(grid)
-    mesh = write_obj(out / "surface.obj", grid.X, grid.valid)
-    write_csv(out / "diagnostics.csv", grid)
-    save_grid(out / "grid.npz", grid, "catenoid",
-              {"family": spec.family, "param": spec.param})
+    section = _emit(out, grid, ("surface.obj", "diagnostics.csv", "grid.npz"), "catenoid",
+                    {"family": spec.family, "param": spec.param}, weierstrass=True)
     write_report(out / "report.json", {"mode": "catenoid", "version": __version__,
-                                       "family": spec.family, "param": spec.param,
-                                       "weierstrass": {"G": str(wd.G), "omega": str(wd.omega)},
-                                       "summary": _grid_summary(grid), "mesh": mesh})
+                                       "family": spec.family, "param": spec.param, **section})
+    mesh = section["mesh"]
     print(f"catenoid ({spec.family}, param {spec.param:g}): wrote {mesh['vertices']} "
           f"vertices, {mesh['faces']} faces to {out}")
     return EXIT_OK
 
 
 def _closed_form_grid(entries, grid_spec: GridSpec, wd) -> SurfaceGrid:
-    """Closed-form surface on the grid.  entries(u, v) gives (m11, m12, m22);
-    X holds the bits herm(m11, m12, m22) would give node by node."""
+    """Closed-form surface on the grid.  entries(u, v) gives (m11, m12, m22)
+    and is called once, on the (n_v, n_u) mesh of the nodes; X holds the
+    bits herm(m11, m12, m22) gives node by node."""
     u_nodes, v_nodes = grid_spec.u_nodes(), grid_spec.v_nodes()
-    n_u, n_v = grid_spec.n_u, grid_spec.n_v
-    x_flat = np.empty((n_v * n_u, 2, 2), dtype=complex)
-    x_flat[:, 0, 0], x_flat[:, 0, 1], x_flat[:, 1, 1] = zip(
-        *[entries(u, v) for v in v_nodes.tolist() for u in u_nodes.tolist()])
-    x_flat[:, 1, 0] = np.conj(x_flat[:, 0, 1])
+    shape = (grid_spec.n_v, grid_spec.n_u)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        m11, m12, m22 = entries(*np.meshgrid(u_nodes, v_nodes))
+    x_grid = np.empty(shape + (2, 2), dtype=complex)
+    x_grid[..., 0, 0], x_grid[..., 0, 1], x_grid[..., 1, 1] = m11, m12, m22
+    x_grid[..., 1, 0] = np.conj(m12)
+    finite = np.isfinite(x_grid).all(axis=(-2, -1))
+    if not finite.all():
+        iv, iu = np.argwhere(~finite)[0].tolist()
+        raise DomainError(f"closed form is not finite at node ({iv}, {iu}), "
+                          f"(u, v) = ({u_nodes[iu]:.6g}, {v_nodes[iv]:.6g})")
     return SurfaceGrid(u=u_nodes, v=v_nodes,
-                       F=np.full((n_v, n_u, 2, 2), np.nan, dtype=complex),
-                       X=x_flat.reshape(n_v, n_u, 2, 2),
-                       valid=np.ones((n_v, n_u), dtype=bool),
-                       det_drift=np.full((n_v, n_u), np.nan), wd=wd)
+                       F=np.full(shape + (2, 2), np.nan, dtype=complex), X=x_grid,
+                       valid=np.ones(shape, dtype=bool),
+                       det_drift=np.full(shape, np.nan), wd=wd)
 
 
 def run_diagnose(input_path: str, out_flag=None) -> int:
@@ -471,9 +556,9 @@ def run_diagnose(input_path: str, out_flag=None) -> int:
         grid_diagnostics(grid)
     else:
         raise SchemaError(f"unknown grid kind {kind!r}")
-    write_csv(out / "diagnostics.csv", grid)
+    section = _emit(out, grid, (None, "diagnostics.csv", None))
     write_report(out / "report.json", {"mode": "diagnose", "version": __version__,
-                                       "kind": kind, "summary": _grid_summary(grid)})
+                                       "kind": kind, **section})
     print(f"diagnose: rewrote diagnostics for {kind} grid in {out}")
     return EXIT_OK
 
@@ -495,24 +580,21 @@ def run_extend(job: dict, out_flag=None) -> int:
     base = _closed_form_grid(lambda u, v: nonrotational_entries(c, u, v),
                              base_grid_spec, wd)
     grid_diagnostics(base)
-    mesh_base = write_obj(out / "base_chart.obj", base.X, base.valid)
-    write_csv(out / "base_chart.csv", base)
-    save_grid(out / "base_chart_grid.npz", base, "extend-base", {"param": c})
+    base_section = _emit(out, base, ("base_chart.obj", "base_chart.csv", "base_chart_grid.npz"),
+                         "extend-base", {"param": c})
 
     ut_nodes = np.linspace(ut_range[0], ut_range[1], n_ut)
     ext = chartfree_grid_diagnostics(lambda ut, v: nonrotational_extension(c, ut, v),
                                      ut_nodes, base_grid_spec.v_nodes())
-    mesh_ext = write_obj(out / "extension_chart.obj", ext.X, ext.valid)
-    write_csv(out / "extension_chart.csv", ext)
-    save_grid(out / "extension_chart_grid.npz", ext, "extend-extension", {"param": c})
+    ext_section = _emit(out, ext, ("extension_chart.obj", "extension_chart.csv",
+                                   "extension_chart_grid.npz"), "extend-extension", {"param": c})
 
     circle = np.array([lightlike_circle(c, v) for v in base_grid_spec.v_nodes().tolist()])
     write_polyline_obj(out / "lightlike_circle.obj", circle)
 
     write_report(out / "report.json", {
         "mode": "extend", "version": __version__, "param": c,
-        "base_chart": {"mesh": mesh_base, "summary": _grid_summary(base)},
-        "extension_chart": {"mesh": mesh_ext, "summary": _grid_summary(ext)},
+        "base_chart": base_section, "extension_chart": ext_section,
     })
     print(f"extend (c = {c:g}): wrote both charts and the lightlike circle to {out}")
     return EXIT_OK

@@ -4,9 +4,9 @@ On a conformal chart the surface X = F f3 F* satisfies X_z = M X with the
 coefficient matrix M = omega (G, 1)^T (1, -G) that drives the frame.  M is
 nilpotent (M^2 = 0), so X_zz = M' X and X_zzbar = M X M* are exact too, with
 M' from the symbolic derivatives of G and omega.  Xu, Xv, Xuu, Xuv and Xvv
-come from the stored X by batched 2x2 products, and a whole grid is
-diagnosed in one array pass: one numpy call evaluates the (G, omega) jet of
-every node, and nothing is re-integrated or differenced.
+come from the stored X by 2x2 products written out entry by entry, and a
+whole grid is diagnosed in one array pass: one numpy call evaluates the
+(G, omega) jet of every node, and nothing is re-integrated or differenced.
 
 The lightlike normal comes from G in closed form.  With v = (G, 1)^T and
 X = psi psi*, X_z = omega (psi1 - G psi2) v psi*, so n = v v* / <v v*, X>
@@ -38,7 +38,7 @@ import numpy as np
 from .bjorling import WeierstrassData
 from .errors import DegenerateInputError, DegenerateMetricError, IntegrationError
 from .frame import SurfaceGrid, integrate_frame
-from .lorentz import F3, adjoint, hermitize, minkowski_inner
+from .lorentz import F3, hermitize, minkowski_inner
 
 __all__ = [
     "PointDiagnostics", "surface_derivatives", "lightlike_normal", "gauss_map",
@@ -75,18 +75,45 @@ def surface_derivatives(wd: WeierstrassData, x: np.ndarray, w):
 
 
 def _derivatives(jet, x):
-    """(Xu, Xv, Xuu, Xuv, Xvv) and the finite-M-and-M' mask from the jet arrays."""
+    """(Xu, Xv, Xuu, Xuv, Xvv) and the finite-M-and-M' mask from the jet arrays.
+
+    The 2x2 products X_z = M X, X_zz = M' X and X_zzbar = X_z M* are written
+    out entry by entry (numpy's stacked matmul costs several times more on
+    2x2 blocks); each output P + P* or i (P - P*) is assembled from the
+    upper triangle of P and P*, as it is Hermitian.
+    """
     g, om, dg, dom = jet
     m11, d11 = g * om, dg * om + g * dom   # M as the frame builds it, and M'
-    coef = np.stack([m11, -(g * m11), om, -m11, d11, -(dg * m11 + g * d11), dom, -d11],
-                    axis=-1).reshape(np.shape(g) + (2, 2, 2))
-    ok = np.isfinite(coef).all(axis=(-3, -2, -1))
-    m, dm = coef[..., 0, :, :], coef[..., 1, :, :]
-    a, b = m @ x, dm @ x          # X_z, X_zz
-    c = a @ adjoint(m)            # X_zzbar
-    a_adj, b_adj = adjoint(a), adjoint(b)
-    b_sum, c_sum = b + b_adj, c + adjoint(c)
-    return (a + a_adj, 1j * (a - a_adj), c_sum + b_sum, 1j * (b - b_adj), c_sum - b_sum), ok
+    m = (m11, -(g * m11), om, -m11)
+    dm = (d11, -(dg * m11 + g * d11), dom, -d11)
+    ok = np.logical_and.reduce([np.isfinite(e) for e in m[:3] + dm[:3]])  # m22 = -m11
+    x11, x12, x21, x22 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+
+    def times_x(p11, p12, p21, p22):
+        return (p11 * x11 + p12 * x21, p11 * x12 + p12 * x22,
+                p21 * x11 + p22 * x21, p21 * x12 + p22 * x22)
+
+    a11, a12, a21, a22 = times_x(*m)
+    b = times_x(*dm)
+    n11, n12, n21, n22 = (np.conj(e) for e in m)
+    c = (a11 * n11 + a12 * n12, a11 * n21 + a12 * n22,
+         a21 * n11 + a22 * n12, a21 * n21 + a22 * n22)
+
+    def plus_adjoint(p11, p12, p21, p22):    # upper triangle of P + P*
+        return 2.0 * p11.real, p12 + np.conj(p21), 2.0 * p22.real
+
+    def minus_adjoint(p11, p12, p21, p22):   # upper triangle of i (P - P*)
+        return -2.0 * p11.imag, 1j * (p12 - np.conj(p21)), -2.0 * p22.imag
+
+    b_sum, c_sum = plus_adjoint(*b), plus_adjoint(*c)
+    out = np.empty((5,) + np.shape(g) + (2, 2), dtype=complex)
+    for k, (e11, e12, e22) in enumerate((
+            plus_adjoint(a11, a12, a21, a22), minus_adjoint(a11, a12, a21, a22),
+            [p + q for p, q in zip(c_sum, b_sum)], minus_adjoint(*b),
+            [p - q for p, q in zip(c_sum, b_sum)])):
+        out[k, ..., 0, 0], out[k, ..., 0, 1], out[k, ..., 1, 1] = e11, e12, e22
+        out[k, ..., 1, 0] = np.conj(e12)
+    return tuple(out), ok
 
 
 def lightlike_normal(g, x):

@@ -1,11 +1,15 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightcone import bjorling as bj
 from lightcone import catenoids as ct
+from lightcone import cli
 from lightcone import frame as fr
 from lightcone import lorentz as lz
 from lightcone.errors import BranchCutWarning, DomainError, ValidationError
@@ -252,3 +256,47 @@ def test_closed_forms_have_zero_mean_curvature(family, p):
             x = ct.catenoid_closed_form(spec, u, v)
             pd = dgn.point_diagnostics(wd, x, complex(u, v))
             assert abs(pd.H) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# closed-form grids: one array call with the bits of per-node math/cmath
+
+def _reference_entries(family, p, u, v):
+    """The scalar entries the closed forms were first written with, in
+    math/cmath, node by node; family "nonrotational" is the base chart."""
+    if family == "elliptic":
+        return math.exp((p - 2) * v), cmath.exp(2j * u + p * v), math.exp((p + 2) * v)
+    if family == "hyperbolic":
+        return math.exp(2 * u + p * v), cmath.exp((p + 2j) * v), math.exp(-2 * u + p * v)
+    s = math.exp(p * v)
+    if family == "parabolic":
+        return s * (u * u + v * v), s * (u + 1j * v), s
+    return s * math.exp(2 * u), s * cmath.exp(u + 1j * v), s
+
+
+_ranges = st.tuples(st.floats(-6.0, 6.0), st.floats(0.01, 8.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@given(family=st.sampled_from(ct.FAMILIES + ("nonrotational",)),
+       param=st.floats(-5.0, 5.0).filter(lambda p: p not in (0.0, -2.0)),
+       u_range=_ranges, v_range=_ranges.map(lambda r: (r[0] / 3, r[1] / 3)),
+       n_u=st.integers(2, 9), n_v=st.integers(2, 9))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_grid_has_the_bits_of_the_per_node_formulas(family, param, u_range,
+                                                               v_range, n_u, n_v):
+    if family == "nonrotational":
+        entries = functools.partial(ct.nonrotational_entries, param)
+    else:
+        entries = functools.partial(ct.catenoid_entries, ct.CatenoidSpec(family, param))
+    grid = cli._closed_form_grid(entries, fr.GridSpec(u_range, v_range, n_u, n_v), None)
+    want = np.array([[lz.herm(*_reference_entries(family, param, u, v))
+                      for u in grid.u.tolist()] for v in grid.v.tolist()])
+    assert grid.X.tobytes() == want.tobytes()
+    if family != "nonrotational":  # the public closed form, one node at a time
+        spec = ct.CatenoidSpec(family, param)
+        got = np.array([[ct.catenoid_closed_form(spec, u, v) for u in grid.u.tolist()]
+                        for v in grid.v.tolist()])
+    else:
+        got = np.array([[ct.nonrotational_closed_form(param, u, v) for u in grid.u.tolist()]
+                        for v in grid.v.tolist()])
+    assert got.tobytes() == want.tobytes()

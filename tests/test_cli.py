@@ -1,12 +1,18 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lightcone import bjorling as bj
 from lightcone import catenoids as ct
 from lightcone import cli
 from lightcone import lorentz as lz
+
+
+FORMAT1_EXTENSION = Path(__file__).parent / "data" / "format1_extension_chart_grid.npz"
 
 
 def _read_obj(path):
@@ -504,7 +510,11 @@ def tiny_grids(tmp_path_factory):
                      "--grid", "0.5,2,-0.5,0.5,4,3"]) == cli.EXIT_OK
     assert cli.main(["extend", "--param", "0.5", "--out", str(root / "ext"),
                      "--grid=-0.5,0.5,0,1,3,2"]) == cli.EXIT_OK
-    return root / "cat" / "grid.npz", root / "ext" / "extension_chart_grid.npz"
+    # a solved grid carries a frame, so its file has F and det_drift
+    job = _write_job(root / "solve.json", _CATENOID_SOLVE)
+    assert cli.main(["solve", "--input", job, "--out", str(root / "sol")]) == cli.EXIT_OK
+    return (root / "cat" / "grid.npz", root / "ext" / "extension_chart_grid.npz",
+            root / "sol" / "grid.npz")
 
 
 def test_diagnose_rejects_meta_json_that_is_not_json(tmp_path, capsys, tiny_grids):
@@ -518,9 +528,13 @@ def test_diagnose_rejects_meta_json_that_is_not_json(tmp_path, capsys, tiny_grid
 
 @pytest.mark.parametrize("meta", ["{}", '{"param": NaN}', '{"param": "0.5"}'])
 def test_diagnose_needs_a_finite_extension_param(tmp_path, capsys, tiny_grids, meta):
-    path = _rewrite_npz(tiny_grids[1], tmp_path / "g.npz", meta_json=np.array(meta))
-    assert cli.main(["diagnose", "--input", path]) == cli.EXIT_IO
-    _assert_one_line_schema_error(capsys, "param")
+    # a format-2 file keeps its kind in meta_json, a format-1 file in a member
+    for source, header in ((tiny_grids[1], {"format": 2, "kind": "extend-extension"}),
+                           (FORMAT1_EXTENSION, {})):
+        text = json.dumps(dict(json.loads(meta), **header))
+        path = _rewrite_npz(source, tmp_path / "g.npz", meta_json=np.array(text))
+        assert cli.main(["diagnose", "--input", path]) == cli.EXIT_IO
+        _assert_one_line_schema_error(capsys, "param")
 
 
 @pytest.mark.parametrize("member, cut", [("X", np.s_[:, :-1]), ("F", np.s_[:-1]),
@@ -528,9 +542,11 @@ def test_diagnose_needs_a_finite_extension_param(tmp_path, capsys, tiny_grids, m
                                          ("det_drift", np.s_[None]),
                                          ("u", np.s_[None]), ("v", np.s_[None])])
 def test_diagnose_rejects_mismatched_grid_shapes(tmp_path, capsys, tiny_grids, member, cut):
-    with np.load(tiny_grids[0]) as npz:
+    # only a grid with a frame stores F and det_drift
+    source = tiny_grids[2] if member in ("F", "det_drift") else tiny_grids[0]
+    with np.load(source) as npz:
         bad = npz[member][cut]
-    path = _rewrite_npz(tiny_grids[0], tmp_path / "g.npz", **{member: bad})
+    path = _rewrite_npz(source, tmp_path / "g.npz", **{member: bad})
     assert cli.main(["diagnose", "--input", path]) == cli.EXIT_IO
     _assert_one_line_schema_error(capsys, "grid file")
 
@@ -572,3 +588,75 @@ def test_diagnose_rejects_grid_arrays_of_the_wrong_kind(tmp_path, capsys, tiny_g
     path = _rewrite_npz(tiny_grids[0], tmp_path / "g.npz", **{member: bad})
     assert cli.main(["diagnose", "--input", path]) == cli.EXIT_IO
     _assert_one_line_schema_error(capsys, f"grid file: {member} is")
+
+
+def _seam_repro(samples):
+    """The README elliptic job with each entry of L times 1 + eps prod(u - u_k)
+    over the check's Chebyshev-Lobatto nodes, eps making the factor deviate by
+    up to 1e-2: every sampled residual of the checks is round-off, while the
+    seam of the solved surface misses the tangent field."""
+    interval = (0.0, 2 * math.pi)
+    nodes = bj.chebyshev_nodes(*interval, samples)
+    dense = np.linspace(*interval, 20001)
+    eps = 1e-2 / float(np.max(np.abs(np.prod(dense[:, None] - nodes[None, :], axis=1))))
+    factor = f"(1 + {eps!r}" + "".join(f"*(u - {x!r})" for x in nodes.tolist()) + ")"
+    tangent = {key: f"({text})*{factor}" for key, text in
+               {"m11": "-0.5", "m12": "1.5*exp(2*i*u)", "m21": "1.5*exp(-2*i*u)",
+                "m22": "3.5"}.items()}
+    return {"bjorling": {"gamma": {"m11": "1", "m12": "exp(2*i*u)", "m21": "exp(-2*i*u)",
+                                   "m22": "1"},
+                         "tangent": tangent, "interval": list(interval), "samples": samples},
+            "grid": {"u_range": list(interval), "v_range": [-0.2, 0.2], "n_u": 21, "n_v": 3}}
+
+
+@pytest.mark.parametrize("samples", [9, 33])
+def test_solve_gates_on_its_seam_residuals(tmp_path, capsys, samples):
+    path = _write_job(tmp_path / "job.json", _seam_repro(samples))
+    assert cli.main(["check", "--input", path]) == cli.EXIT_OK  # the checks cannot see it
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--input", path, "--out", str(out)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert re.match(r"validation error: boundary (curve|tangent) residual exceeds "
+                    r"1e-0[86] \* \(1 \+ max\|(gamma|L)\|\)", err), err
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_closed_form_overflow_exits_3_with_one_line(tmp_path, capsys):
+    rc = cli.main(["catenoid", "--family", "elliptic", "--param", "1000",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: closed form is not finite at node")
+    assert err.count("\n") == 1
+
+
+FORMAT1 = {name: Path(__file__).parent / "data" / f"format1_{name}_grid.npz"
+           for name in ("catenoid", "solved", "extension_chart")}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT1))
+def test_format1_files_load_and_diagnose_like_their_format2_round_trip(tmp_path, name):
+    # the files were written by save_grid's format 1, before format 2
+    grid, kind, meta = cli.load_grid(FORMAT1[name])
+    strings = None if grid.wd is None else {"G": str(grid.wd.G), "omega": str(grid.wd.omega)}
+    cli.save_grid(tmp_path / "grid.npz", grid, kind, meta, strings)
+    again, kind2, meta2 = cli.load_grid(tmp_path / "grid.npz")
+    assert (kind2, meta2) == (kind, meta)
+    for key in ("u", "v", "X", "valid", "F", "det_drift"):
+        assert getattr(again, key).tobytes() == getattr(grid, key).tobytes(), key
+    assert (again.wd is None) == (grid.wd is None)
+    if grid.wd is not None:
+        assert (str(again.wd.G), str(again.wd.omega)) == (strings["G"], strings["omega"])
+    with np.load(tmp_path / "grid.npz") as npz:
+        members = set(npz.files)
+        header = json.loads(str(npz["meta_json"]))
+    frame = {"F", "det_drift"} if name == "solved" else set()
+    assert members == {"u", "v", "X", "valid", "meta_json"} | frame
+    assert header == dict(meta, format=2, kind=kind, **(strings or {}))
+    for source, out in ((FORMAT1[name], "one"), (tmp_path / "grid.npz", "two")):
+        assert cli.main(["diagnose", "--input", str(source),
+                         "--out", str(tmp_path / out)]) == cli.EXIT_OK
+    assert (tmp_path / "one" / "diagnostics.csv").read_bytes() == \
+        (tmp_path / "two" / "diagnostics.csv").read_bytes()

@@ -212,17 +212,8 @@ DIAGNOSTIC_SLOTS = ("phi2", "H", "K", "conformality_defect", "gauss_residual",
 def test_grid_node_on_a_pole_of_the_data_stays_valid_with_nan_slots():
     # power-type data G = u, omega = lam/u^2 has its pole on the node w = 0;
     # the stored X there is any light-cone point, the others are the surface
-    nu = 0.5
-    wd = bj.WeierstrassData.from_strings("u", f"{(1 - nu * nu) / 4!r}/u^2")
-    def surface(u, v):
-        if u == 0.0 and v == 0.0:
-            return 1.0, 0j, 0.0  # F3
-        f = ct.power_type_frame(nu, complex(u, v))
-        x = lz.hermitize(f @ lz.F3 @ f.conj().T)
-        return x[0, 0].real, x[0, 1], x[1, 1].real
-
-    grid = dg.grid_diagnostics(
-        cli._closed_form_grid(surface, fr.GridSpec((0.0, 1.0), (-0.5, 0.5), 5, 5), wd))
+    grid = dg.grid_diagnostics(_pole_grid())
+    wd = grid.wd
     pole = (2, 0)
     assert grid.valid[pole]
     for name in DIAGNOSTIC_SLOTS:
@@ -352,7 +343,9 @@ def _pole_grid():
         f = ct.power_type_frame(nu, complex(u, v))
         x = lz.hermitize(f @ lz.F3 @ f.conj().T)
         return x[0, 0].real, x[0, 1], x[1, 1].real
-    return cli._closed_form_grid(surface, fr.GridSpec((0.0, 1.0), (-0.5, 0.5), 5, 5), wd)
+    # _closed_form_grid calls its entries once, on the arrays of all nodes
+    entries = np.vectorize(surface, otypes=[float, complex, float])
+    return cli._closed_form_grid(entries, fr.GridSpec((0.0, 1.0), (-0.5, 0.5), 5, 5), wd)
 
 
 def _degenerate_metric_grid():
@@ -434,3 +427,36 @@ def test_a_deep_copied_grid_diagnoses_like_the_original():
     dg.grid_diagnostics(twin)
     for slot in DIAGNOSTIC_SLOTS:
         assert np.array_equal(getattr(grid, slot), getattr(twin, slot), equal_nan=True), slot
+
+
+def _matmul_derivatives(jet, x):
+    """The route _derivatives replaced: M, M' as stacked 2x2 blocks and three
+    numpy matmuls, X_z = M @ X, X_zz = M' @ X, X_zzbar = X_z @ M*."""
+    g, om, dg_, dom = jet
+    m11, d11 = g * om, dg_ * om + g * dom
+    coef = np.stack([m11, -(g * m11), om, -m11, d11, -(dg_ * m11 + g * d11), dom, -d11],
+                    axis=-1).reshape(np.shape(g) + (2, 2, 2))
+    ok = np.isfinite(coef).all(axis=(-3, -2, -1))
+    m, dm = coef[..., 0, :, :], coef[..., 1, :, :]
+    a, b = m @ x, dm @ x
+    c = a @ lz.adjoint(m)
+    a_adj, b_adj = lz.adjoint(a), lz.adjoint(b)
+    b_sum, c_sum = b + b_adj, c + lz.adjoint(c)
+    return (a + a_adj, 1j * (a - a_adj), c_sum + b_sum, 1j * (b - b_adj), c_sum - b_sum), ok
+
+
+@pytest.mark.parametrize("name", ROUTE_GRIDS)
+def test_written_out_products_match_the_matmul_route(route_grids, name):
+    grid, _ = route_grids[name]
+    sel = grid.valid
+    x, w = grid.X[sel], (grid.u[None, :] + 1j * grid.v[:, None])[sel]
+    with np.errstate(all="ignore"):
+        jet = grid.wd.jet_fn(w)
+        got, ok = dg._derivatives(jet, x)
+        want, ok_ref = _matmul_derivatives(jet, x)
+    assert np.array_equal(ok, ok_ref)
+    assert np.any(ok)
+    for k, (new, old) in enumerate(zip(got, want)):
+        assert np.array_equal(np.isnan(new), np.isnan(old)), k
+        scale = np.max(np.abs(old[ok]))
+        assert np.max(np.abs(new[ok] - old[ok])) <= 1e-13 * scale, k

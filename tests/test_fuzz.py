@@ -98,7 +98,11 @@ def _jobs(draw):
 _grid_flags = st.sampled_from(["0,0.5,-0.2,0.2,3,3", "0,0.5,-0.2,0.2,5,2", "1,2,3",
                                "a,b,c,d,e,f", "0,1,0,1,1,1", "0,1,0,1,3,9999999"])
 
-# (member, replacement) edits of a stored grid; None removes the member
+# (member, replacement) edits of a stored grid; None removes the member (if
+# the file has it), and a dict edits the keys of the JSON in meta_json (None
+# removes a key).  The format-1 members kind, F, det_drift and G_str matter
+# only to format-1 files; format 2 keeps kind, G and omega in meta_json and
+# F and det_drift only for frame grids.
 NPZ_EDITS = [
     [],
     [("meta_json", np.array("{not json"))],
@@ -111,6 +115,14 @@ NPZ_EDITS = [
     [("F", None)],
     [("kind", np.array("surface"))],
     [("G_str", np.array("exp("))],
+    [("meta_json", {"kind": None})],
+    [("meta_json", {"kind": 5})],
+    [("meta_json", {"G": 5})],
+    [("meta_json", {"omega": None})],
+    [("meta_json", {"G": "exp("})],
+    [("meta_json", {"format": 3})],
+    [("det_drift", None)],
+    [("F", "drop-column")],
 ]
 
 
@@ -129,7 +141,7 @@ def _cases(draw):
         case["argv"] = draw(st.lists(st.sampled_from(ARGV_TOKENS), max_size=5))
         return case
     if mode == "diagnose":
-        case["grid"] = draw(st.sampled_from(["catenoid", "extension"]))
+        case["grid"] = draw(st.sampled_from(sorted(GRID_SOURCES)))
         case["edits"] = draw(st.sampled_from(NPZ_EDITS))
         return case
     case["doc"] = draw(_jobs())
@@ -149,6 +161,12 @@ def _cases(draw):
     return case
 
 
+# grids written by this version (format 2) and format-1 files kept in tests/data
+DATA = Path(__file__).parent / "data"
+GRID_SOURCES = ("catenoid", "extension", "solved", "format 1 catenoid", "format 1 solved",
+                "format 1 extension")
+
+
 @pytest.fixture(scope="module")
 def stored_grids(tmp_path_factory):
     root = tmp_path_factory.mktemp("grids")
@@ -159,8 +177,16 @@ def stored_grids(tmp_path_factory):
     (root / "ext.json").write_text(json.dumps(ext))
     assert cli.main(["extend", "--input", str(root / "ext.json"),
                      "--out", str(root / "ext")]) == cli.EXIT_OK
+    (root / "sol.json").write_text(json.dumps(_ADMISSIBLE))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["solve", "--input", str(root / "sol.json"),
+                         "--out", str(root / "sol")]) == cli.EXIT_OK
     return {"catenoid": root / "cat" / "grid.npz",
-            "extension": root / "ext" / "extension_chart_grid.npz"}
+            "extension": root / "ext" / "extension_chart_grid.npz",
+            "solved": root / "sol" / "grid.npz",
+            "format 1 catenoid": DATA / "format1_catenoid_grid.npz",
+            "format 1 solved": DATA / "format1_solved_grid.npz",
+            "format 1 extension": DATA / "format1_extension_chart_grid.npz"}
 
 
 def _edited_grid(source: Path, edits, path: Path) -> str:
@@ -168,7 +194,13 @@ def _edited_grid(source: Path, edits, path: Path) -> str:
         members = dict(npz.items())
     for key, value in edits:
         if value is None:
-            members.pop(key)
+            members.pop(key, None)
+        elif isinstance(value, dict):
+            meta = json.loads(str(members[key]))
+            meta.update(value)
+            members[key] = np.array(json.dumps({k: v for k, v in meta.items() if v is not None}))
+        elif key not in members:
+            continue
         elif isinstance(value, str) and value == "drop-column":
             members[key] = members[key][:, :-1]
         elif isinstance(value, str) and value == "2d":
@@ -212,6 +244,10 @@ _ADMISSIBLE = {"bjorling": {"gamma": README_GAMMA, "tangent": README_TANGENT,
 @example(case={"mode": "diagnose", "grid": "catenoid", "edits": NPZ_EDITS[1]})
 @example(case={"mode": "diagnose", "grid": "extension", "edits": NPZ_EDITS[3]})
 @example(case={"mode": "diagnose", "grid": "catenoid", "edits": NPZ_EDITS[5]})
+@example(case={"mode": "diagnose", "grid": "catenoid", "edits": NPZ_EDITS[11]})
+@example(case={"mode": "diagnose", "grid": "catenoid", "edits": NPZ_EDITS[13]})
+@example(case={"mode": "diagnose", "grid": "solved", "edits": NPZ_EDITS[17]})
+@example(case={"mode": "diagnose", "grid": "format 1 solved", "edits": NPZ_EDITS[8]})
 @example(case={"mode": "argv", "argv": ["check", "--tol", "abc"]})
 @example(case={"mode": "argv", "argv": []})
 @settings(max_examples=40, deadline=None)
@@ -220,3 +256,24 @@ def test_every_run_ends_with_an_exit_code_and_one_line(stored_grids, case):
         rc, err = _run(case, stored_grids, Path(tmp))
     assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_IO)
     assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("source, edits", [
+    ("catenoid", [("meta_json", {"kind": None})]),
+    ("catenoid", [("meta_json", {"kind": 5})]),
+    ("catenoid", [("meta_json", {"G": 5})]),
+    ("catenoid", [("meta_json", {"omega": None})]),
+    ("catenoid", [("meta_json", {"format": 3})]),
+    ("catenoid", [("X", "drop-column")]),
+    ("extension", [("valid", "drop-column")]),
+    ("solved", [("det_drift", None)]),
+    ("solved", [("F", "drop-column")]),
+    ("format 1 solved", [("F", None)]),
+    ("format 1 catenoid", [("kind", None)]),
+])
+def test_corrupt_grid_files_exit_4_with_one_line(stored_grids, source, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = _run({"mode": "diagnose", "grid": source, "edits": edits},
+                       stored_grids, Path(tmp))
+    assert rc == cli.EXIT_IO
+    assert err.startswith("error: grid file") and err.count("\n") == 1, err
