@@ -18,7 +18,6 @@ preferred per sample when it is better conditioned.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,8 +42,8 @@ ORIENTABILITY_FLOOR = 1e-7  # |D1| must exceed floor * (1 + |gamma'|)
 
 @dataclass(frozen=True)
 class MatrixExpr:
-    """2x2 matrix of expressions; evaluation gives a complex numpy matrix.
-    The entries are compiled, and the derivative is built, once per instance."""
+    """2x2 matrix of expressions.  The entries are compiled, to the array
+    binding, and the derivative is built, once per instance."""
 
     m11: ex.ExprAST
     m12: ex.ExprAST
@@ -56,16 +55,18 @@ class MatrixExpr:
         return cls(ex.parse(m11), ex.parse(m12), ex.parse(m21), ex.parse(m22))
 
     @cached_property
-    def _entries_fn(self):
-        return ex.compile_checked(self.entries())
+    def _compiled(self):
+        return ex.compile_ast(self.entries(), array=True)
 
     @cached_property
     def _derivative(self) -> "MatrixExpr":
         return MatrixExpr(*(ex.diff(e) for e in self.entries()))
 
-    def eval(self, w: complex) -> np.ndarray:
-        """The matrix at w; a pole raises EvalError."""
-        return np.array(self._entries_fn(w), dtype=complex).reshape(2, 2)
+    def eval(self, w) -> np.ndarray:
+        """The matrix at w: (2, 2) for a number, shape(w) + (2, 2) for an
+        array, from one numpy call; NaN wherever an entry is not finite (the
+        compiler's array binding), which raises nothing."""
+        return np.stack(self._compiled(w), axis=-1).reshape(np.shape(w) + (2, 2))
 
     def diff(self) -> "MatrixExpr":
         return self._derivative
@@ -115,6 +116,30 @@ def lambda_expr(data: BjorlingData) -> MatrixExpr:
     return MatrixExpr(*out)
 
 
+def _samples(nodes: np.ndarray, *named) -> list[np.ndarray]:
+    """Each (name, MatrixExpr) pair on the nodes, as an (n, 2, 2) stack from
+    one call.  A non-finite sample raises EvalError naming the first node
+    where one is not finite and the first matrix not finite there."""
+    names = [name for name, _ in named]
+    stacks = [m.eval(nodes) for _, m in named]
+    bad = np.array([~np.isfinite(s).all(axis=(-2, -1)) for s in stacks])
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        raise EvalError(f"{names[int(np.argmax(bad[:, k]))]} is not finite", float(nodes[k]))
+    return stacks
+
+
+def _data_samples(data: BjorlingData) -> list[np.ndarray]:
+    """gamma, gamma' and L on the validation nodes."""
+    return _samples(data.nodes(), ("gamma", data.gamma), ("gamma'", data.gamma.diff()),
+                    ("L", data.tangent))
+
+
+def _exceeds(residual: np.ndarray, bound) -> np.ndarray:
+    """|residual| > bound, true where the residual is NaN too."""
+    return ~(np.abs(residual) <= bound)
+
+
 @dataclass
 class ConformalityReport:
     passed: bool
@@ -133,49 +158,45 @@ class ConformalityReport:
                          np.max(np.abs(self.lightcone_residual))))
 
 
+def _hermitian_residual(m: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce([np.abs(m[..., 0, 0].imag), np.abs(m[..., 1, 1].imag),
+                              np.abs(m[..., 1, 0] - np.conj(m[..., 0, 1]))])
+
+
 def check_conformality(data: BjorlingData, tol: float = CONFORMALITY_TOL) -> ConformalityReport:
     nodes = data.nodes()
-    dgamma = data.gamma.diff()
-    n = len(nodes)
-    speed_mismatch = np.empty(n)
-    tangent_orth = np.empty(n)
-    position_orth = np.empty(n)
-    lightcone_res = np.empty(n)
-    speed_sq = np.empty(n)
-    failures: list[str] = []
-    for k, u in enumerate(nodes):
-        g = data.gamma.eval(u)
-        dg = dgamma.eval(u)
-        l = data.tangent.eval(u)
-        for name, m in (("gamma", g), ("tangent field", l)):
-            herm_res = max(abs(m[0, 0].imag), abs(m[1, 1].imag),
-                           abs(m[1, 0] - np.conj(m[0, 1])))
-            if herm_res > 1e-10 * (1.0 + float(np.max(np.abs(m)))):
-                failures.append(f"{name} not Hermitian at u = {u:.6g} (residual {herm_res:.3e})")
-        sp = minkowski_inner(dg, dg).real
-        speed_sq[k] = sp
-        speed_mismatch[k] = (minkowski_inner(dg, dg) - minkowski_inner(l, l)).real
-        tangent_orth[k] = minkowski_inner(dg, l).real
-        position_orth[k] = minkowski_inner(g, l).real
-        lightcone_res[k] = minkowski_inner(g, g).real
-        scale = tol * (1.0 + sp)
-        if abs(speed_mismatch[k]) > scale:
-            failures.append(f"|gamma'|^2 != |L|^2 at u = {u:.6g} "
-                            f"(residual {speed_mismatch[k]:.3e})")
-        if abs(tangent_orth[k]) > scale:
-            failures.append(f"<gamma',L> != 0 at u = {u:.6g} (residual {tangent_orth[k]:.3e})")
-        if abs(position_orth[k]) > scale:
-            failures.append(f"<gamma,L> != 0 at u = {u:.6g} (residual {position_orth[k]:.3e})")
-        gscale = tol * (1.0 + float(np.max(np.abs(g))) ** 2)
-        if abs(lightcone_res[k]) > gscale:
-            failures.append(f"gamma leaves the light cone at u = {u:.6g} "
-                            f"(<gamma,gamma> = {lightcone_res[k]:.3e})")
-        if (g[0, 0] + g[1, 1]).real <= 0:
-            failures.append(f"gamma has non-positive trace at u = {u:.6g}")
-        if sp <= scale:
-            failures.append(f"gamma' not spacelike at u = {u:.6g} (|gamma'|^2 = {sp:.3e})")
+    g, dg, l = _data_samples(data)
+    sp = minkowski_inner(dg, dg).real
+    speed_mismatch = (minkowski_inner(dg, dg) - minkowski_inner(l, l)).real
+    tangent_orth = minkowski_inner(dg, l).real
+    position_orth = minkowski_inner(g, l).real
+    lightcone_res = minkowski_inner(g, g).real
+    scale = tol * (1.0 + sp)
+    g_max = np.max(np.abs(g), axis=(-2, -1))
+    herm_g, herm_l = _hermitian_residual(g), _hermitian_residual(l)
+    # (mask, text, values): the texts, with {u} the node and {r} its value,
+    # listed node by node and in this order at each node
+    tests = (
+        (_exceeds(herm_g, 1e-10 * (1.0 + g_max)),
+         "gamma not Hermitian at u = {u:.6g} (residual {r:.3e})", herm_g),
+        (_exceeds(herm_l, 1e-10 * (1.0 + np.max(np.abs(l), axis=(-2, -1)))),
+         "tangent field not Hermitian at u = {u:.6g} (residual {r:.3e})", herm_l),
+        (_exceeds(speed_mismatch, scale),
+         "|gamma'|^2 != |L|^2 at u = {u:.6g} (residual {r:.3e})", speed_mismatch),
+        (_exceeds(tangent_orth, scale),
+         "<gamma',L> != 0 at u = {u:.6g} (residual {r:.3e})", tangent_orth),
+        (_exceeds(position_orth, scale),
+         "<gamma,L> != 0 at u = {u:.6g} (residual {r:.3e})", position_orth),
+        (_exceeds(lightcone_res, tol * (1.0 + g_max ** 2)),
+         "gamma leaves the light cone at u = {u:.6g} (<gamma,gamma> = {r:.3e})", lightcone_res),
+        (~((g[..., 0, 0] + g[..., 1, 1]).real > 0),
+         "gamma has non-positive trace at u = {u:.6g}", sp),
+        (~(sp > scale), "gamma' not spacelike at u = {u:.6g} (|gamma'|^2 = {r:.3e})", sp),
+    )
+    failures = [text.format(u=u, r=values[k]) for k, u in enumerate(nodes)
+                for bad, text, values in tests if bad[k]]
     return ConformalityReport(not failures, nodes, speed_mismatch, tangent_orth,
-                              position_orth, lightcone_res, speed_sq, failures)
+                              position_orth, lightcone_res, sp, failures)
 
 
 @dataclass
@@ -193,24 +214,18 @@ class OrientabilityReport:
 
 def check_orientability(data: BjorlingData, tol: float = ORIENTABILITY_FLOOR) -> OrientabilityReport:
     nodes = data.nodes()
-    dgamma = data.gamma.diff()
-    n = len(nodes)
-    d1 = np.empty(n, dtype=complex)
-    floor = np.empty(n)
-    signs = np.zeros(n, dtype=int)
+    g, dg, l = _data_samples(data)
+    lam = 0.5 * (dg - 1j * l)
+    d1 = g[:, 0, 0] * lam[:, 1, 0] - g[:, 1, 0] * lam[:, 0, 0]
+    floor = tol * (1.0 + np.sqrt(minkowski_inner(dg, dg)).real)
+    signs = np.zeros(len(nodes), dtype=int)
     failures: list[str] = []
-    for k, u in enumerate(nodes):
-        g, dg, l = data.gamma.eval(u), dgamma.eval(u), data.tangent.eval(u)
-        lam = 0.5 * (dg - 1j * l)
-        d1[k] = g[0, 0] * lam[1, 0] - g[1, 0] * lam[0, 0]
-        speed = cmath.sqrt(minkowski_inner(dg, dg)).real
-        floor[k] = tol * (1.0 + speed)
-        if abs(d1[k]) <= floor[k]:
+    for k, u in enumerate(nodes):  # the sign normalizes a gauge per node
+        if not abs(d1[k]) > floor[k]:
             failures.append(f"extraction denominator vanishes at u = {u:.6g} "
                             f"(|D1| = {abs(d1[k]):.3e})")
-            signs[k] = 0
             continue
-        signs[k] = signed_area_sign(g, dg, l)
+        signs[k] = signed_area_sign(g[k], dg[k], l[k])
         if signs[k] != -1:
             failures.append(f"signed area of (gamma', L) is positive at u = {u:.6g}")
     return OrientabilityReport(not failures, nodes, d1, floor, signs, failures)
@@ -222,7 +237,6 @@ class WeierstrassData:
 
     G: ex.ExprAST
     omega: ex.ExprAST
-    chart: str = "u"
 
     @cached_property
     def G_fn(self):
@@ -248,12 +262,12 @@ class WeierstrassData:
                               array=True)
 
     @classmethod
-    def from_strings(cls, g: str, omega: str, chart: str = "u") -> "WeierstrassData":
-        return cls(ex.parse(g), ex.parse(omega), chart)
+    def from_strings(cls, g: str, omega: str) -> "WeierstrassData":
+        return cls(ex.parse(g), ex.parse(omega))
 
 
-def _relative_gap(a: complex, b: complex) -> float:
-    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+def _relative_gap(a, b):
+    return np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b)))
 
 
 def weierstrass_from_bjorling(data: BjorlingData) -> WeierstrassData:
@@ -262,10 +276,13 @@ def weierstrass_from_bjorling(data: BjorlingData) -> WeierstrassData:
     The (11)/(21)-entry and (12)/(22)-entry formulas agree identically for
     admissible data but differ in roundoff near zeros of Lambda21; the
     symbolic output uses whichever is better conditioned at the interval
-    midpoint, and the numeric self-check compares both per sample along with
-    the trace identity
+    midpoint, and the numeric self-check compares both on the nodes along
+    with det Lambda = 0 and the trace identity
 
         Lambda11 gamma22 - Lambda12 gamma21 - Lambda21 gamma12 + Lambda22 gamma11 = 0.
+
+    Each quantity is one array call on the nodes; a NaN residual counts as
+    a violation.
     """
     lam = lambda_expr(data)
     g = data.gamma
@@ -276,48 +293,40 @@ def weierstrass_from_bjorling(data: BjorlingData) -> WeierstrassData:
     om2 = ex.div(ex.mul(lam.m22, lam.m22),
                  ex.sub(ex.mul(lam.m22, g.m12), ex.mul(lam.m12, g.m22)))
 
-    route1 = ex.compile_checked((g1, om1))
-    route2 = ex.compile_checked((g2, om2))
-
     nodes = data.nodes()
-    worst = {"route agreement": (nodes[0], 0.0), "structural identity": (nodes[0], 0.0)}
-    for u in nodes:
-        lam_v = lam.eval(u)
-        g_v = g.eval(u)
-        lam_scale = float(np.max(np.abs(lam_v)))
-        # det Lambda = 0 and the trace identity both follow from admissibility
-        det_lam = abs(lam_v[0, 0] * lam_v[1, 1] - lam_v[0, 1] * lam_v[1, 0])
-        trace_id = abs(lam_v[0, 0] * g_v[1, 1] - lam_v[0, 1] * g_v[1, 0]
-                       - lam_v[1, 0] * g_v[0, 1] + lam_v[1, 1] * g_v[0, 0])
-        structural = max(det_lam / (1.0 + lam_scale ** 2),
-                         trace_id / ((1.0 + lam_scale) * (1.0 + float(np.max(np.abs(g_v))))))
-        if structural > worst["structural identity"][1]:
-            worst["structural identity"] = (u, structural)
-        if abs(lam_v[1, 0]) > 1e-12 * (1.0 + lam_scale) and \
-           abs(lam_v[1, 1]) > 1e-12 * (1.0 + lam_scale):
-            (g1_v, om1_v), (g2_v, om2_v) = route1(u), route2(u)
-            routes = max(_relative_gap(g1_v, g2_v), _relative_gap(om1_v, om2_v))
-            if routes > worst["route agreement"][1]:
-                worst["route agreement"] = (u, routes)
-    for label, tol in (("structural identity", 1e-10), ("route agreement", 1e-9)):
-        u, res = worst[label]
-        if res > tol:
+    lam_v, g_v = _samples(nodes, ("Lambda", lam), ("gamma", g))
+    # each route compiled apart, so that a pole of one leaves the other finite
+    (g1_v, om1_v), (g2_v, om2_v) = (ex.compile_ast(route, array=True)(nodes)
+                                    for route in ((g1, om1), (g2, om2)))
+    (l11, l12), (l21, l22) = (lam_v[:, 0, 0], lam_v[:, 0, 1]), (lam_v[:, 1, 0], lam_v[:, 1, 1])
+    lam_scale = np.max(np.abs(lam_v), axis=(-2, -1))
+    det_lam = np.abs(l11 * l22 - l12 * l21)
+    trace_id = np.abs(l11 * g_v[:, 1, 1] - l12 * g_v[:, 1, 0]
+                      - l21 * g_v[:, 0, 1] + l22 * g_v[:, 0, 0])
+    structural = np.maximum(det_lam / (1.0 + lam_scale ** 2),
+                            trace_id / ((1.0 + lam_scale)
+                                        * (1.0 + np.max(np.abs(g_v), axis=(-2, -1)))))
+    guard = (np.abs(l21) > 1e-12 * (1.0 + lam_scale)) & (np.abs(l22) > 1e-12 * (1.0 + lam_scale))
+    routes = np.where(guard, np.maximum(_relative_gap(g1_v, g2_v),
+                                        _relative_gap(om1_v, om2_v)), 0.0)
+    for label, res, tol in (("structural identity", structural, 1e-10),
+                            ("route agreement", routes, 1e-9)):
+        res = np.where(np.isnan(res), math.inf, res)
+        k = int(np.argmax(res))
+        if res[k] > tol:
             raise DataInconsistencyError(
-                f"{label} violated; data is not admissible", float(u), res)
+                f"{label} violated; data is not admissible", float(nodes[k]), float(res[k]))
 
     mid = 0.5 * (data.interval[0] + data.interval[1])
     lam_mid = lam.eval(mid)
     if abs(lam_mid[1, 1]) > abs(lam_mid[1, 0]):
-        wd, extracted = WeierstrassData(g2, om2, chart="u"), route2
+        wd, g_route = WeierstrassData(g2, om2), g2_v
     else:
-        wd, extracted = WeierstrassData(g1, om1, chart="u"), route1
-    for u in nodes:  # the returned expressions must be finite on the seam
-        try:
-            g_val, om_val = extracted(u)
-        except EvalError as exc:
-            raise DataInconsistencyError(f"extracted data has a pole ({exc})",
-                                         float(u), math.inf) from exc
-        if not (cmath.isfinite(g_val) and cmath.isfinite(om_val)):
-            raise DataInconsistencyError("extracted data is not finite",
-                                         float(u), math.inf)
+        wd, g_route = WeierstrassData(g1, om1), g1_v
+    # the returned expressions must be finite on the seam; a route's G and
+    # omega are NaN together wherever either is not finite
+    pole = np.isnan(g_route)
+    if pole.any():
+        raise DataInconsistencyError("extracted data has a pole",
+                                     float(nodes[np.argmax(pole)]), math.inf)
     return wd

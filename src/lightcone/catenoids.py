@@ -174,7 +174,7 @@ def classification_weierstrass(spec: CatenoidSpec) -> WeierstrassData:
         om = ex.const(p * p / 4)
     else:
         raise ValidationError(f"unknown family {spec.family!r}")
-    return WeierstrassData(g, om, chart="u")
+    return WeierstrassData(g, om)
 
 
 def _principal_power(z: complex, c: complex) -> complex:
@@ -267,4 +267,4 @@ def nonrotational_weierstrass_wchart(c: float) -> WeierstrassData:
         raise ValidationError("parameter c must be nonzero")
     g = ex.mul(ex.const((c + 2j) / c), _exp_cu(1))
     om = ex.mul(ex.const(c * c / 4.0), _exp_cu(-1))
-    return WeierstrassData(g, om, chart="u")
+    return WeierstrassData(g, om)

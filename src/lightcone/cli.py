@@ -378,12 +378,14 @@ def write_report(path: Path, report: dict) -> None:
 
 def _emit(out: Path, grid: SurfaceGrid, files, kind: str | None = None,
           meta: dict | None = None, weierstrass: bool = False) -> dict:
-    """Write a grid's mesh, CSV and .npz into out and return its report
-    section.  files names the three; None skips a file (diagnose rewrites
-    only the CSV).  The section holds the mesh counts where a mesh is
-    written, the summary and, if weierstrass is set, the grid's G and omega
-    strings; they are made once, for the section and the .npz alike."""
+    """Write a grid's mesh, CSV and .npz into out, creating it, and return
+    its report section.  files names the three; None skips a file
+    (diagnose rewrites only the CSV).  The section holds the mesh counts
+    where a mesh is written, the summary and, if weierstrass is set, the
+    grid's G and omega strings; they are made once, for the section and the
+    .npz alike."""
     obj_name, csv_name, npz_name = files
+    out.mkdir(parents=True, exist_ok=True)
     strings = None
     if grid.wd is not None and (weierstrass or npz_name):
         strings = {"G": str(grid.wd.G), "omega": str(grid.wd.omega)}
@@ -433,13 +435,13 @@ def run_check(job: dict, tol_override=None) -> int:
 
 
 def _out_dir(job: dict, out_flag) -> Path:
+    """The output directory, not yet created: _emit, the first writer of
+    every mode, makes it, so a rejected job leaves none."""
     out = out_flag or job.get("out")
     if not out:
         raise SchemaError("no output directory (use --out or the 'out' field)")
     _require(isinstance(out, str), f"out must be a directory name, got {out!r}")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def run_solve(job: dict, out_flag=None, gauge_test=False, renormalize_det=False,
@@ -491,8 +493,7 @@ def _gate_seam(data: BjorlingData, grid: SurfaceGrid) -> None:
         seam = np.flatnonzero(np.isfinite(residual))
         if not seam.size or np.max(residual[seam]) <= tol:
             continue  # within the bound whatever the scale
-        bound = tol * (1.0 + max(float(np.max(np.abs(matrix.eval(grid.u[i]))))
-                                 for i in seam.tolist()))
+        bound = tol * (1.0 + float(np.max(np.abs(matrix.eval(grid.u[seam])))))
         worst = seam[np.argmax(residual[seam])]
         if residual[worst] > bound:
             raise DataInconsistencyError(
@@ -545,7 +546,6 @@ def _closed_form_grid(entries, grid_spec: GridSpec, wd) -> SurfaceGrid:
 def run_diagnose(input_path: str, out_flag=None) -> int:
     grid, kind, meta = load_grid(Path(input_path))
     out = Path(out_flag) if out_flag else Path(input_path).parent
-    out.mkdir(parents=True, exist_ok=True)
     if kind == "extend-extension":
         c = meta["param"]
         grid = chartfree_grid_diagnostics(lambda ut, v: nonrotational_extension(c, ut, v),
@@ -580,12 +580,12 @@ def run_extend(job: dict, out_flag=None) -> int:
     base = _closed_form_grid(lambda u, v: nonrotational_entries(c, u, v),
                              base_grid_spec, wd)
     grid_diagnostics(base)
-    base_section = _emit(out, base, ("base_chart.obj", "base_chart.csv", "base_chart_grid.npz"),
-                         "extend-base", {"param": c})
-
     ut_nodes = np.linspace(ut_range[0], ut_range[1], n_ut)
     ext = chartfree_grid_diagnostics(lambda ut, v: nonrotational_extension(c, ut, v),
                                      ut_nodes, base_grid_spec.v_nodes())
+
+    base_section = _emit(out, base, ("base_chart.obj", "base_chart.csv", "base_chart_grid.npz"),
+                         "extend-base", {"param": c})
     ext_section = _emit(out, ext, ("extension_chart.obj", "extension_chart.csv",
                                    "extension_chart_grid.npz"), "extend-extension", {"param": c})
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bjorling import WeierstrassData
-from .errors import DegenerateInputError, DegenerateMetricError, IntegrationError
+from .errors import DegenerateInputError, DegenerateMetricError, DomainError, IntegrationError
 from .frame import SurfaceGrid, integrate_frame
 from .lorentz import F3, hermitize, minkowski_inner
 
@@ -313,7 +313,10 @@ def chartfree_grid_diagnostics(surface, u_nodes, v_nodes, h: float = 1e-3) -> Su
 
     Returns a SurfaceGrid with empty frame slots; phi2 holds <Xu,Xu> and the
     conformality defect is reported relative to the actual parametrization
-    (it need not vanish).  Degenerate-metric nodes keep NaN curvatures.
+    (it need not vanish).  Degenerate-metric nodes keep NaN curvatures, and
+    a slot whose arithmetic overflows is NaN, without a warning.  A node
+    where the surface is not finite, or overflows, raises DomainError,
+    naming the first.
     """
     u_nodes = np.asarray(u_nodes, dtype=float)
     v_nodes = np.asarray(v_nodes, dtype=float)
@@ -323,24 +326,34 @@ def chartfree_grid_diagnostics(surface, u_nodes, v_nodes, h: float = 1e-3) -> Su
                        F=np.full((n_v, n_u, 2, 2), np.nan, dtype=complex),
                        X=x_grid, valid=np.ones((n_v, n_u), dtype=bool),
                        det_drift=np.full((n_v, n_u), np.nan), wd=None)
-    for iv, vv in enumerate(v_nodes):
-        for iu, uu in enumerate(u_nodes):
-            uu, vv = float(uu), float(vv)
-            x = surface(uu, vv)
-            xu = (surface(uu + h, vv) - surface(uu - h, vv)) / (2 * h)
-            xv = (surface(uu, vv + h) - surface(uu, vv - h)) / (2 * h)
-            x_grid[iv, iu] = x
-            grid.phi2[iv, iu] = minkowski_inner(xu, xu).real
-            grid.conformality_defect[iv, iu] = max(
-                abs((minkowski_inner(xu, xu) - minkowski_inner(xv, xv)).real),
-                2.0 * abs(minkowski_inner(xu, xv).real))
-            grid.lightlike_residual[iv, iu] = float(abs(minkowski_inner(x, x)))
-            try:
-                n = gauss_map(x, xu, xv)
-                grid.gauss_residual[iv, iu] = float(np.max(gauss_residuals(x, xu, xv, n)))
-                h_mean, k_gauss = mean_curvature_fd(surface, uu, vv, h)
-            except (DegenerateInputError, DegenerateMetricError):
-                continue
-            grid.H[iv, iu] = h_mean
-            grid.K[iv, iu] = k_gauss
+    with np.errstate(all="ignore"):
+        for iv, vv in enumerate(v_nodes):
+            for iu, uu in enumerate(u_nodes):
+                uu, vv = float(uu), float(vv)
+                try:
+                    x = surface(uu, vv)
+                except OverflowError:  # math.exp past the float range
+                    x = None
+                if x is None or not np.isfinite(x).all():
+                    raise DomainError(f"surface is not finite at node ({iv}, {iu}), "
+                                      f"(u, v) = ({uu:.6g}, {vv:.6g})")
+                x_grid[iv, iu] = x
+                grid.lightlike_residual[iv, iu] = float(abs(minkowski_inner(x, x)))
+                try:
+                    xu = (surface(uu + h, vv) - surface(uu - h, vv)) / (2 * h)
+                    xv = (surface(uu, vv + h) - surface(uu, vv - h)) / (2 * h)
+                    grid.phi2[iv, iu] = minkowski_inner(xu, xu).real
+                    grid.conformality_defect[iv, iu] = max(
+                        abs((minkowski_inner(xu, xu) - minkowski_inner(xv, xv)).real),
+                        2.0 * abs(minkowski_inner(xu, xv).real))
+                    n = gauss_map(x, xu, xv)
+                    grid.gauss_residual[iv, iu] = float(np.max(gauss_residuals(x, xu, xv, n)))
+                    h_mean, k_gauss = mean_curvature_fd(surface, uu, vv, h)
+                except (DegenerateInputError, DegenerateMetricError, OverflowError):
+                    continue
+                grid.H[iv, iu] = h_mean
+                grid.K[iv, iu] = k_gauss
+    for name in ("phi2", "conformality_defect", "lightlike_residual", "gauss_residual", "H", "K"):
+        slot = getattr(grid, name)
+        slot[~np.isfinite(slot)] = np.nan
     return grid

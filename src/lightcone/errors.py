@@ -30,7 +30,7 @@ class ParseError(LightconeError):
 
 
 class EvalError(LightconeError):
-    """Expression evaluation failure (pole, log of zero); carries the argument."""
+    """Boundary data not finite at a sample (a pole, log of zero); carries the sample."""
 
     def __init__(self, message: str, w: complex):
         self.w = w

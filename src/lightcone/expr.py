@@ -24,10 +24,10 @@ derivative, the printer and the compiler, so a tree of any depth is walked
 without recursion and a shared subtree once.  There is one evaluator, the
 compiler: it emits straight-line code from the operation table `_OPS` and
 `_FUNCS`, and constant folding applies the same table to `Const` children.
-Native errors at poles become EvalError in one place, `compile_checked`.
-The same source also binds to numpy (`compile_ast(e, array=True)`): one call
-then evaluates a whole array of arguments, and a node is NaN where the
-scalar code would raise.
+At poles the scalar code raises the native ZeroDivisionError, ValueError or
+OverflowError.  The same source also binds to numpy (`compile_ast(e,
+array=True)`): one call then evaluates a whole array of arguments, and a
+node is NaN where the scalar code would raise.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EvalError, ParseError
+from .errors import ParseError
 
 __all__ = [
     "ExprAST", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "parse", "diff", "to_string", "compile_ast", "compile_checked",
+    "parse", "diff", "to_string", "compile_ast",
     "const", "var", "add", "sub", "mul", "div", "neg", "pow_", "call",
 ]
 
@@ -663,8 +663,7 @@ def compile_ast(e, array: bool = False):
     and inf included) reaches the code bit for bit.  Each node runs its
     operation from the table that constant folding applies too.  At poles
     the function raises the native ZeroDivisionError, ValueError or
-    OverflowError, for callers inside integrators that know w;
-    compile_checked turns these into EvalError.
+    OverflowError, for callers inside integrators that know w.
 
     array=True binds the same source to numpy instead: the function takes
     an array w and gives arrays of its shape, new ones (never w itself),
@@ -699,17 +698,3 @@ def compile_ast(e, array: bool = False):
         return out if isinstance(e, tuple) else out[0]
     return over_array
 
-
-def compile_checked(e):
-    """compile_ast(e), called as w -> value with w passed on as complex (so
-    a numpy scalar never reaches the compiled code), raising EvalError(message,
-    w) where the compiled code raises ZeroDivisionError, ValueError or
-    OverflowError."""
-    fn = compile_ast(e)
-
-    def checked(w):
-        try:
-            return fn(complex(w))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvalError(str(exc), w) from exc
-    return checked

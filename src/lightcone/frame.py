@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bjorling import BjorlingData, WeierstrassData, weierstrass_from_bjorling
-from .errors import EvalError, IntegrationError, StiffnessError
-from .lorentz import F3, frame_from_point, hermitize
+from .errors import IntegrationError, StiffnessError
+from .lorentz import F3, adjoint, frame_from_point, hermitize
 
 __all__ = [
     "EPS_LOC", "H_MAX", "GridSpec", "IntegrationStats", "SurfaceGrid",
-    "coefficient_matrix", "integrate_frame", "solve_bjorling",
+    "integrate_frame", "solve_bjorling",
 ]
 
 EPS_LOC = 1e-10   # local error budget per unit arclength
@@ -46,17 +46,6 @@ Mat4 = tuple[complex, complex, complex, complex]  # (m11, m12, m21, m22)
 
 def _finite(m: Mat4) -> bool:
     return all(cmath.isfinite(z) for z in m)
-
-
-def coefficient_matrix(wd: WeierstrassData, w: complex) -> np.ndarray:
-    """M(w) = [[G, -G^2], [1, -G]] omega(w) as a numpy matrix."""
-    try:
-        m = wd.coef_fn(w)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        raise IntegrationError(f"coefficient evaluation failed: {exc}", w) from exc
-    if not _finite(m):
-        raise IntegrationError("coefficient matrix is not finite", w)
-    return np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
 
 
 @dataclass
@@ -267,17 +256,17 @@ def solve_bjorling(data: BjorlingData, grid: GridSpec,
     valid = np.zeros((n_v, n_u), dtype=bool)
     drift = np.full((n_v, n_u), np.nan)
 
+    gamma = data.gamma.eval(u_nodes)
     i0 = n_u // 2
-    gamma_mid = hermitize(data.gamma.eval(u_nodes[i0]))
-    f_mid = frame_from_point(gamma_mid)
+    if not np.isfinite(gamma[i0]).all():
+        raise IntegrationError("gamma is not finite at the middle u-node", u_nodes[i0])
+    f_mid = frame_from_point(hermitize(gamma[i0]))
     if initial_twist is not None:
         f_mid = f_mid @ initial_twist
 
     # sweep along the real axis, outwards from the middle node
-    f_axis: list[np.ndarray | None] = [None] * n_u
+    f_axis = np.full((n_u, 2, 2), np.nan, dtype=complex)
     f_axis[i0] = f_mid
-    axis_ok = np.zeros(n_u, dtype=bool)
-    axis_ok[i0] = True
     for step in (1, -1):
         f_cur = f_mid
         i = i0
@@ -290,25 +279,19 @@ def solve_bjorling(data: BjorlingData, grid: GridSpec,
                 break
             i += step
             f_axis[i] = f_cur
-            axis_ok[i] = True
+    axis_ok = np.isfinite(f_axis).all(axis=(-2, -1))
 
-    # boundary residuals along the seam
-    curve_res = np.full(n_u, np.nan)
-    tangent_res = np.full(n_u, np.nan)
-    for i in range(n_u):
-        if not axis_ok[i]:
-            continue
-        try:
-            x_axis = hermitize(f_axis[i] @ F3 @ f_axis[i].conj().T)
-            gamma_i = hermitize(data.gamma.eval(u_nodes[i]))
-            curve_res[i] = float(np.max(np.abs(x_axis - gamma_i)))
-            m = coefficient_matrix(wd, complex(u_nodes[i]))
-            mx = m @ x_axis
-            x_v = 1j * (mx - mx.conj().T)
-            tangent_i = hermitize(data.tangent.eval(u_nodes[i]))
-            tangent_res[i] = float(np.max(np.abs(x_v - tangent_i)))
-        except (EvalError, IntegrationError):
-            continue  # residual slots stay NaN at data poles
+    # boundary residuals along the seam: NaN where the axis frame, the data
+    # or M is not finite there
+    g, om = wd.jet_fn(u_nodes)[:2]
+    with np.errstate(all="ignore"):
+        x_axis = hermitize(f_axis @ F3 @ adjoint(f_axis))
+        curve_res = np.max(np.abs(x_axis - hermitize(gamma)), axis=(-2, -1))
+        m11 = g * om
+        mx = np.stack([m11, -(g * m11), om, -m11], axis=-1).reshape(n_u, 2, 2) @ x_axis
+        x_v = 1j * (mx - adjoint(mx))
+        tangent_res = np.max(np.abs(x_v - hermitize(data.tangent.eval(u_nodes))),
+                             axis=(-2, -1))
 
     # vertical columns, each from its axis node, up and down from the seam
     order = _column_order(v_nodes)

@@ -85,13 +85,16 @@ def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> None:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Project onto Hermitian form: real diagonal, m21 = conj(m12).
+    """Project onto Hermitian form: real diagonal, m21 = conj(m12); a
+    (..., 2, 2) stack node by node.
 
     Used after arithmetic on values that are Hermitian by construction, to
     keep roundoff drift out of downstream invariant checks.
     """
-    return np.array([[m[0, 0].real, m[0, 1]],
-                     [np.conj(m[0, 1]), m[1, 1].real]], dtype=complex)
+    out = np.array(m, dtype=complex)
+    out[..., 1, 0] = np.conj(m[..., 0, 1])
+    out.imag[..., 0, 0] = out.imag[..., 1, 1] = 0.0
+    return out
 
 
 def vec_to_herm(v: Vec4) -> np.ndarray:

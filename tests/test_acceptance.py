@@ -233,7 +233,7 @@ def test_criterion_7_closed_form_frame_oracles():
                              (wd_poly, lambda zz: ct.polynomial_type_frame(beta, zz))):
             fd = (frame_fn(z + h) - frame_fn(z - h)) / (2 * h)
             residual = max(residual, float(np.max(np.abs(
-                fd - fr.coefficient_matrix(wd, z) @ frame_fn(z)))))
+                fd - np.reshape(wd.coef_fn(z), (2, 2)) @ frame_fn(z)))))
     reproduce = 0.0
     for z in (0.8 + 0.6j, 1.0 - 1.0j, 0.3 + 1.0j):
         f = fr.integrate_frame(wd_poly, np.eye(2, dtype=complex), [0.0, z])

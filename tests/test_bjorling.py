@@ -7,7 +7,7 @@ from lightcone import bjorling as bj
 from lightcone import catenoids as ct
 from lightcone import expr as ex
 from lightcone import lorentz as lz
-from lightcone.errors import DataInconsistencyError, ValidationError
+from lightcone.errors import DataInconsistencyError, EvalError, ValidationError
 
 
 def elliptic_data(a=1.5, **kw):
@@ -177,3 +177,43 @@ def test_extracted_pole_on_the_seam_is_an_inconsistency():
     with pytest.raises(DataInconsistencyError, match="extracted data has a pole") as err:
         bj.weierstrass_from_bjorling(data)
     assert err.value.u == 0.0
+
+
+def test_matrix_eval_takes_a_number_or_an_array():
+    m = bj.MatrixExpr.from_strings("u", "1/u", "2", "exp(i*u)")
+    assert m.eval(0.5).shape == (2, 2)
+    stack = m.eval(np.array([[0.5, 0.0], [1.0, 2.0]]))
+    assert stack.shape == (2, 2, 2, 2)
+    assert np.isnan(stack[0, 1]).all()  # the pole of m12 at u = 0 takes the whole matrix
+    assert np.all(stack[1, :, 1, 0] == 2) and stack[0, 0, 1, 0] == 2  # a constant broadcasts
+    assert stack[1, 1].tobytes() == m.eval(2.0).tobytes()
+    scalar = ex.compile_ast(m.entries())(2 + 0j)
+    assert m.eval(2.0).tobytes() == np.array(scalar).reshape(2, 2).tobytes()
+
+
+@pytest.mark.parametrize("step", [bj.check_conformality, bj.check_orientability,
+                                  bj.weierstrass_from_bjorling])
+def test_a_sample_where_the_data_is_nan_raises_eval_error(step):
+    # inf - inf: NaN for u != 0 without a raise, which no residual comparison would catch
+    data = elliptic_data()
+    nan = ex.parse("u*1e300*1e300 - u*1e300*1e300")
+    tangent = bj.MatrixExpr(ex.add(data.tangent.m11, nan), *data.tangent.entries()[1:])
+    with pytest.raises(EvalError) as err:
+        step(bj.BjorlingData(data.gamma, tangent, data.interval))
+    assert err.value.w == data.nodes()[1]  # u = 0 is the first node, where the term is 0
+    name = "Lambda" if step is bj.weierstrass_from_bjorling else "L"
+    assert str(err.value).startswith(f"{name} is not finite at w = ")
+
+
+@pytest.mark.parametrize("family, p", [("elliptic", 1.5), ("hyperbolic", 1.5)])
+def test_the_midpoint_route_choice_is_a_tie_that_route_1_wins(family, p):
+    # |Lambda22| = |Lambda21| at the midpoint, in floating point too; a bit
+    # moved there would flip the route and change every solved surface
+    data = ct.catenoid_bjorling_data(ct.CatenoidSpec(family, p))
+    lam = bj.lambda_expr(data)
+    mid = 0.5 * (data.interval[0] + data.interval[1])
+    lam_mid = lam.eval(mid)
+    scalar = ex.compile_ast(lam.entries())(complex(mid))
+    assert lam_mid.tobytes() == np.array(scalar).reshape(2, 2).tobytes()
+    assert abs(lam_mid[1, 1]) == abs(lam_mid[1, 0])
+    assert bj.weierstrass_from_bjorling(data).G == ex.div(lam.m11, lam.m21)

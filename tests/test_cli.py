@@ -620,7 +620,7 @@ def test_solve_gates_on_its_seam_residuals(tmp_path, capsys, samples):
     assert re.match(r"validation error: boundary (curve|tangent) residual exceeds "
                     r"1e-0[86] \* \(1 \+ max\|(gamma|L)\|\)", err), err
     assert err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_closed_form_overflow_exits_3_with_one_line(tmp_path, capsys):
@@ -660,3 +660,75 @@ def test_format1_files_load_and_diagnose_like_their_format2_round_trip(tmp_path,
                          "--out", str(tmp_path / out)]) == cli.EXIT_OK
     assert (tmp_path / "one" / "diagnostics.csv").read_bytes() == \
         (tmp_path / "two" / "diagnostics.csv").read_bytes()
+
+
+README_JOB = {"bjorling": {"gamma": {"m11": "1", "m12": "exp(2*i*u)", "m21": "exp(-2*i*u)",
+                                     "m22": "1"},
+                           "tangent": {"m11": "-0.5", "m12": "1.5*exp(2*i*u)",
+                                       "m21": "1.5*exp(-2*i*u)", "m22": "3.5"},
+                           "interval": [0.0, 6.283185307179586], "samples": 33},
+              "grid": {"u_range": [0.0, 6.283185307179586], "v_range": [-0.2, 0.2],
+                       "n_u": 9, "n_v": 3}}
+# NaN for u != 0 and 0 at u = 0, raising nowhere: inf - inf
+NAN_TERM = " + u*1e300*1e300 - u*1e300*1e300"
+
+
+def _nan_job(block, key):
+    job = json.loads(json.dumps(README_JOB))
+    job["bjorling"][block][key] += NAN_TERM
+    return job
+
+
+@pytest.mark.parametrize("mode", ["check", "solve"])
+@pytest.mark.parametrize("block, key, message", [
+    # NaN from the second node on
+    ("tangent", "m11", "L is not finite at w = 0.015127627311653402"),
+    # gamma is finite at u = 0, but its derivative holds the folded inf * 1e300
+    ("gamma", "m22", "gamma' is not finite at w = 0.0"),
+], ids=["tangent.m11", "gamma.m22"])
+def test_data_that_is_nan_at_a_sample_exits_3_with_one_line(tmp_path, capsys, mode,
+                                                            block, key, message):
+    out = tmp_path / "out"
+    rc = cli.main([mode, "--input", _write_job(tmp_path / "job.json", _nan_job(block, key)),
+                   *(["--out", str(out)] if mode == "solve" else [])])
+    assert rc == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical error: {message}\n"
+    assert "PASS" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, job, code", [
+    ("solve", {"catenoid": {"family": "elliptic", "param": 1.5, "flip_tangent_sign": True}},
+     cli.EXIT_VALIDATION),
+    ("solve", {"catenoid": {"family": "elliptic"}, "grid": {"n_u": 3}}, cli.EXIT_IO),
+    ("catenoid", {"catenoid": {"family": "elliptic", "param": 1000}}, cli.EXIT_NUMERICAL),
+    ("extend", {"extend": {"utilde_range": [-1e200, 1e200], "n_utilde": 5}}, cli.EXIT_NUMERICAL),
+])
+def test_a_rejected_job_leaves_no_output_directory(tmp_path, mode, job, code):
+    out = tmp_path / "out"
+    assert cli.main([mode, "--input", _write_job(tmp_path / "job.json", job),
+                     "--out", str(out)]) == code
+    assert not out.exists()
+
+
+def test_a_non_finite_extension_chart_exits_3_with_one_line(tmp_path, capsys, tiny_grids):
+    # ut^2 overflows at both ends of the range; pytest turns any warning into an error
+    job = {"extend": {"param": 0.5, "utilde_range": [-1e200, 1e200], "n_utilde": 5},
+           "grid": {"u_range": [-0.5, 0.5], "v_range": [0.0, 1.0], "n_u": 5, "n_v": 5}}
+    rc = cli.main(["extend", "--input", _write_job(tmp_path / "job.json", job),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical error: surface is not finite at node "
+                                       "(0, 0), (u, v) = (-1e+200, 0)\n")
+    # diagnose of such a grid takes the same path, also where e^{cv} is past
+    # the float range, which math.exp raises on
+    with np.load(tiny_grids[1]) as npz:
+        u, v = npz["u"], npz["v"]
+    for member, node in (({"u": 1e200 * u}, "(0, 0)"), ({"v": 5000.0 * v}, "(1, 0)")):
+        path = _rewrite_npz(tiny_grids[1], tmp_path / "g.npz", **member)
+        assert cli.main(["diagnose", "--input", path,
+                         "--out", str(tmp_path / "again")]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical error: surface is not finite at node {node}"), err
+        assert err.count("\n") == 1

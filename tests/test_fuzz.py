@@ -238,6 +238,14 @@ _ADMISSIBLE = {"bjorling": {"gamma": README_GAMMA, "tangent": README_TANGENT,
                "grid": {"u_range": [0.0, 0.5], "v_range": [-0.2, 0.2], "n_u": 3, "n_v": 3}}
 
 
+
+def _nan_at_samples(block, key):
+    """_ADMISSIBLE with one entry NaN for u != 0, raising nowhere (inf - inf)."""
+    blk = dict(_ADMISSIBLE["bjorling"])
+    blk[block] = dict(blk[block], **{key: blk[block][key] + " + u*1e300*1e300 - u*1e300*1e300"})
+    return dict(_ADMISSIBLE, bjorling=blk)
+
+
 @given(case=_cases())
 @example(case={"mode": "solve", "flags": [], "doc": dict(_ADMISSIBLE, catenoid={"family": "bogus"})})
 @example(case={"mode": "solve", "flags": [], "doc": dict(_ADMISSIBLE, catenoid=5)})
@@ -250,6 +258,10 @@ _ADMISSIBLE = {"bjorling": {"gamma": README_GAMMA, "tangent": README_TANGENT,
 @example(case={"mode": "diagnose", "grid": "format 1 solved", "edits": NPZ_EDITS[8]})
 @example(case={"mode": "argv", "argv": ["check", "--tol", "abc"]})
 @example(case={"mode": "argv", "argv": []})
+@example(case={"mode": "check", "flags": [], "doc": _nan_at_samples("tangent", "m11")})
+@example(case={"mode": "solve", "flags": [], "doc": _nan_at_samples("tangent", "m11")})
+@example(case={"mode": "check", "flags": [], "doc": _nan_at_samples("gamma", "m22")})
+@example(case={"mode": "solve", "flags": [], "doc": _nan_at_samples("gamma", "m22")})
 @settings(max_examples=40, deadline=None)
 def test_every_run_ends_with_an_exit_code_and_one_line(stored_grids, case):
     with tempfile.TemporaryDirectory() as tmp:
